@@ -22,6 +22,7 @@ struct KernelTable {
                         std::size_t m, std::size_t lo, std::size_t hi);
 
   /// C rows [lo, hi) (= A columns) of C = A^T * B, A: n x k, B: n x m.
+  /// Every C element is one multiply-add chain from 0, p ascending.
   void (*gemm_tn_band)(const float* a, const float* b, float* c, std::size_t n,
                        std::size_t k, std::size_t m, std::size_t lo, std::size_t hi);
 
@@ -33,6 +34,12 @@ struct KernelTable {
 
   /// out[i] = act(z[i]); in-place (out == z) is allowed.
   void (*activate)(Activation act, const float* z, float* out, std::size_t n);
+
+  /// out[i] = act'(z[i]), the derivative at the pre-activation z[i] (the
+  /// backward pass); in-place is allowed. The SIMD backends evaluate the
+  /// scalar overload's expressions with explicit FMAs, so they match it
+  /// bitwise when the scalar code is built with FMA contraction.
+  void (*activate_derivative)(Activation act, const float* z, float* out, std::size_t n);
 
   /// Fused inference layer, rows [lo, hi):
   ///   Y[i] = act(X[i] * W + bias)

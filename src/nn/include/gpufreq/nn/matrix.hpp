@@ -7,9 +7,10 @@
 namespace gpufreq::nn {
 
 /// Dense row-major float matrix used by the neural-network stack. Kept
-/// dependency-free: the GEMM kernels below are register-tiled and
-/// row-panel parallel (see DESIGN.md "Performance"), which is enough for
-/// the 3x64x64x64x1 MLPs this library trains and for the bench GEMMs.
+/// dependency-free: the GEMM kernels below are register-tiled and split
+/// into row chunks only when a chunk carries enough work to pay for the
+/// thread pool (see DESIGN.md "Performance"), which is enough for the
+/// 3x64x64x64x1 MLPs this library trains and for the bench GEMMs.
 class Matrix {
  public:
   Matrix() = default;
@@ -53,11 +54,33 @@ class Matrix {
   std::vector<float> data_;
 };
 
+/// Per-chunk work floor of the GEMMs below, in FLOPs. A parallel chunk
+/// must carry several thread-pool round trips of work (~15 us each on a
+/// 4-vCPU host, DESIGN.md §7): 2^22 FLOPs is ~80 us of single-core GEMM
+/// at ~54 GFLOP/s, so a 64-row training minibatch product (<= 0.5 MFLOP)
+/// is one chunk and runs inline, while a 512^3 product still fans out.
+inline constexpr std::size_t kGemmChunkFlops = std::size_t{1} << 22;
+
+/// Output rows per parallel chunk of a product whose every output row
+/// costs 2 * inner * cols FLOPs: the fewest rows reaching kGemmChunkFlops,
+/// rounded up to `tile` (48 for gemm/gemm_nt, a multiple of both register
+/// tile heights; 16 for gemm_tn). A function of the shape only, never of
+/// the thread count, so the partition keeps results bitwise identical for
+/// any set_num_threads value.
+constexpr std::size_t gemm_chunk_rows(std::size_t inner, std::size_t cols,
+                                      std::size_t tile) {
+  const std::size_t row_flops = 2 * (inner > 0 ? inner : 1) * (cols > 0 ? cols : 1);
+  const std::size_t rows = (kGemmChunkFlops + row_flops - 1) / row_flops;
+  return (rows + tile - 1) / tile * tile;
+}
+inline constexpr std::size_t kGemmRowTile = 48;
+inline constexpr std::size_t kGemmTnTile = 16;
+
 /// C = A * B. Dimensions are checked (InvalidArgument). Blocked /
-/// register-tiled, with row-panel parallelism across the global thread
-/// pool for large row counts. Per-element accumulation order is fixed
-/// (ascending inner dimension), so results are bitwise identical for any
-/// set_num_threads value.
+/// register-tiled; rows are split across the global thread pool in
+/// gemm_chunk_rows(k, m, kGemmRowTile) chunks. Per-element accumulation
+/// order is fixed (ascending inner dimension), so results are bitwise
+/// identical for any set_num_threads value.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A^T * B. Same determinism guarantee as gemm.

@@ -1,6 +1,5 @@
 #include "gpufreq/nn/activations.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "gpufreq/nn/kernels/kernel_table.hpp"
@@ -81,10 +80,10 @@ float activate_derivative(Activation act, float x) {
   return 1.0f;
 }
 
-// The span overload goes through the kernel dispatch table: the scalar
+// The span overloads go through the kernel dispatch table: the scalar
 // backend is the original hoisted-switch loop over the same inlined
-// elementwise kernels as the scalar overload above (so the two stay
-// bit-identical under the scalar backend), and the AVX2 backend evaluates
+// elementwise kernels as the scalar overloads above (so the two stay
+// bit-identical under the scalar backend), and the SIMD backends evaluate
 // the same polynomial with hand-placed FMAs.
 void activate(Activation act, std::span<const float> z, std::span<float> out) {
   GPUFREQ_REQUIRE(z.size() == out.size(), "activate: size mismatch");
@@ -93,46 +92,7 @@ void activate(Activation act, std::span<const float> z, std::span<float> out) {
 
 void activate_derivative(Activation act, std::span<const float> z, std::span<float> out) {
   GPUFREQ_REQUIRE(z.size() == out.size(), "activate_derivative: size mismatch");
-  const std::size_t n = z.size();
-  switch (act) {
-    case Activation::kLinear:
-      std::fill(out.begin(), out.end(), 1.0f);
-      return;
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : 0.0f;
-      return;
-    case Activation::kElu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : fast_expf(z[i]);
-      return;
-    case Activation::kLeakyRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : kLeakySlope;
-      return;
-    case Activation::kSelu:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] = z[i] > 0.0f ? kSeluScale : kSeluScale * kSeluAlpha * fast_expf(z[i]);
-      return;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float s = sigmoid_f(z[i]);
-        out[i] = s * (1.0f - s);
-      }
-      return;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float t = std::tanh(z[i]);
-        out[i] = 1.0f - t * t;
-      }
-      return;
-    case Activation::kSoftplus:
-      for (std::size_t i = 0; i < n; ++i) out[i] = sigmoid_f(z[i]);
-      return;
-    case Activation::kSoftsign:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float d = 1.0f + std::abs(z[i]);
-        out[i] = 1.0f / (d * d);
-      }
-      return;
-  }
+  kernels::active().activate_derivative(act, z.data(), out.data(), z.size());
 }
 
 float lecun_normal_stddev(std::size_t fan_in) {

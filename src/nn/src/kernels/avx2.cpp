@@ -111,6 +111,51 @@ void activate_f(Activation act, const float* z, float* out, std::size_t n) {
   if (i < n) detail::scalar_table().activate(act, z + i, out + i, n - i);
 }
 
+// One 8-lane derivative step: the scalar activate_derivative expressions,
+// with exp through exp256 (bitwise equal to fast_expf under FMA
+// contraction) and the ordered compare sending NaN to the x <= 0 branch,
+// like the scalar ternaries.
+inline __m256 deriv8(Activation act, __m256 z) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 gt = _mm256_cmp_ps(z, _mm256_setzero_ps(), _CMP_GT_OQ);
+  switch (act) {
+    case Activation::kLinear:
+      return one;
+    case Activation::kRelu:
+      return _mm256_and_ps(gt, one);
+    case Activation::kElu:
+      return _mm256_blendv_ps(exp256(z), one, gt);
+    case Activation::kLeakyRelu:
+      return _mm256_blendv_ps(_mm256_set1_ps(scalar_math::kLeakySlope), one, gt);
+    case Activation::kSelu:
+      return _mm256_blendv_ps(_mm256_mul_ps(_mm256_set1_ps(kSeluScale * kSeluAlpha), exp256(z)),
+                              _mm256_set1_ps(kSeluScale), gt);
+    case Activation::kSigmoid: {
+      const __m256 s = act8(Activation::kSigmoid, z);
+      return _mm256_mul_ps(s, _mm256_sub_ps(one, s));
+    }
+    case Activation::kSoftsign: {
+      const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+      const __m256 d = _mm256_add_ps(one, _mm256_and_ps(z, abs_mask));
+      return _mm256_div_ps(one, _mm256_mul_ps(d, d));
+    }
+    default:
+      return one;  // unreachable: callers filter tanh/softplus first
+  }
+}
+
+void activate_derivative_f(Activation act, const float* z, float* out, std::size_t n) {
+  if (!vectorizable(act)) {
+    detail::scalar_table().activate_derivative(act, z, out, n);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, deriv8(act, _mm256_loadu_ps(z + i)));
+  }
+  if (i < n) detail::scalar_table().activate_derivative(act, z + i, out + i, n - i);
+}
+
 // 6x16 register tile: 12 accumulators + 2 B lanes in the 16 ymm budget.
 inline void tile_accumulate(const float* a, std::size_t lda, const float* b,
                             std::size_t ldb, std::size_t k, __m256 acc[kMr][2]) {
@@ -170,25 +215,68 @@ void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
   if (j_tail < m) tail_rows(A, k, B, m, C, m, k, lo, hi, j_tail, m);
 }
 
+// R x 8*NV register tile of C = A^T * B at (i0, j0): C row i is A column
+// i, so each p step broadcasts A(p, i0 + r) against NV lanes of B row p.
+// Every element is one fma chain from 0 with p ascending, whatever the
+// tile or band split, so the tiling never moves a result bit
+// (test_nn_kernels checks it against a memory-accumulating reference).
+template <std::size_t R, std::size_t NV>
+inline void tn_accumulate(const float* A, const float* B, std::size_t n, std::size_t k,
+                          std::size_t m, std::size_t i0, std::size_t j0, __m256 acc[][2]) {
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    __m256 b[NV];
+    for (std::size_t v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(B + p * m + j0 + 8 * v);
+    const float* ap = A + p * k + i0;
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r);
+      for (std::size_t v = 0; v < NV; ++v) acc[r][v] = _mm256_fmadd_ps(av, b[v], acc[r][v]);
+    }
+  }
+}
+
+template <std::size_t NV>
+inline void tn_column_block(const float* A, const float* B, float* C, std::size_t n,
+                            std::size_t k, std::size_t m, std::size_t lo, std::size_t hi,
+                            std::size_t j0) {
+  std::size_t i = lo;
+  __m256 acc[kMr][2];
+  for (; i + kMr <= hi; i += kMr) {
+    tn_accumulate<kMr, NV>(A, B, n, k, m, i, j0, acc);
+    for (std::size_t r = 0; r < kMr; ++r) {
+      for (std::size_t v = 0; v < NV; ++v) {
+        _mm256_storeu_ps(C + (i + r) * m + j0 + 8 * v, acc[r][v]);
+      }
+    }
+  }
+  for (; i < hi; ++i) {
+    tn_accumulate<1, NV>(A, B, n, k, m, i, j0, acc);
+    for (std::size_t v = 0; v < NV; ++v) _mm256_storeu_ps(C + i * m + j0 + 8 * v, acc[0][v]);
+  }
+}
+
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
                     std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
+  const std::size_t m16 = m - m % kNr;
+  const std::size_t m8 = m - m % 8;
+  for (std::size_t j0 = 0; j0 < m16; j0 += kNr) tn_column_block<2>(A, B, C, n, k, m, lo, hi, j0);
+  if (m16 < m8) tn_column_block<1>(A, B, C, n, k, m, lo, hi, m16);
+  if (m8 == m) return;
+  // Columns past the last full 8-float lane: the scalar `c += a * b`,
+  // accumulated in memory, which this -mfma TU contracts to the same fma.
   for (std::size_t i = lo; i < hi; ++i) {
     float* ci = C + i * m;
-    for (std::size_t j = 0; j < m; ++j) ci[j] = 0.0f;
+    for (std::size_t j = m8; j < m; ++j) ci[j] = 0.0f;
   }
   for (std::size_t p = 0; p < n; ++p) {
     const float* ap = A + p * k;
     const float* bp = B + p * m;
     for (std::size_t i = lo; i < hi; ++i) {
-      const __m256 av = _mm256_broadcast_ss(ap + i);
-      float* ci = C + i * m;
-      std::size_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        _mm256_storeu_ps(ci + j,
-                         _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + j), _mm256_loadu_ps(ci + j)));
-      }
       const float api = ap[i];
-      for (; j < m; ++j) ci[j] += api * bp[j];
+      float* ci = C + i * m;
+      for (std::size_t j = m8; j < m; ++j) ci[j] += api * bp[j];
     }
   }
 }
@@ -447,9 +535,9 @@ namespace detail {
 
 const KernelTable* avx2_table() {
   static const KernelTable table = {
-      "avx2",          gemm_row_band_f, gemm_tn_band_f,     add_row_vector_f,
-      column_sums_f,   activate_f,      dense_bias_act_f,   quantize_rows_i8_f,
-      dense_bias_act_i8_f,
+      "avx2",             gemm_row_band_f,       gemm_tn_band_f,   add_row_vector_f,
+      column_sums_f,      activate_f,            activate_derivative_f,
+      dense_bias_act_f,   quantize_rows_i8_f,    dense_bias_act_i8_f,
   };
   return &table;
 }

@@ -132,6 +132,54 @@ void activate_f(Activation act, const float* z, float* out, std::size_t n) {
   }
 }
 
+// One 16-lane derivative step: the scalar activate_derivative expressions,
+// with exp through exp512 (bitwise equal to fast_expf under FMA
+// contraction) and the ordered compare mask sending NaN to the x <= 0
+// branch, like the scalar ternaries.
+inline __m512 deriv16(Activation act, __m512 z) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __mmask16 gt = _mm512_cmp_ps_mask(z, _mm512_setzero_ps(), _CMP_GT_OQ);
+  switch (act) {
+    case Activation::kLinear:
+      return one;
+    case Activation::kRelu:
+      return _mm512_maskz_mov_ps(gt, one);
+    case Activation::kElu:
+      return _mm512_mask_blend_ps(gt, exp512(z), one);
+    case Activation::kLeakyRelu:
+      return _mm512_mask_blend_ps(gt, _mm512_set1_ps(scalar_math::kLeakySlope), one);
+    case Activation::kSelu:
+      return _mm512_mask_blend_ps(
+          gt, _mm512_mul_ps(_mm512_set1_ps(kSeluScale * kSeluAlpha), exp512(z)),
+          _mm512_set1_ps(kSeluScale));
+    case Activation::kSigmoid: {
+      const __m512 s = act16(Activation::kSigmoid, z);
+      return _mm512_mul_ps(s, _mm512_sub_ps(one, s));
+    }
+    case Activation::kSoftsign: {
+      const __m512 d = _mm512_add_ps(one, _mm512_abs_ps(z));
+      return _mm512_div_ps(one, _mm512_mul_ps(d, d));
+    }
+    default:
+      return one;  // unreachable: callers filter tanh/softplus first
+  }
+}
+
+void activate_derivative_f(Activation act, const float* z, float* out, std::size_t n) {
+  if (!vectorizable(act)) {
+    detail::scalar_table().activate_derivative(act, z, out, n);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(out + i, deriv16(act, _mm512_loadu_ps(z + i)));
+  }
+  if (i < n) {
+    const __mmask16 msk = mask_for(n - i);
+    _mm512_mask_storeu_ps(out + i, msk, deriv16(act, _mm512_maskz_loadu_ps(msk, z + i)));
+  }
+}
+
 // 8x32 register tile against an UNPACKED B (ld = ldb): 16 accumulators +
 // 2 B lanes. Masked B loads/C stores make the same kernel serve full and
 // tail column blocks; accumulation stays p-ascending.
@@ -192,29 +240,53 @@ void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
   }
 }
 
+// R x 32 register tile of C = A^T * B at (i0, j0), columns masked by
+// m0/m1: C row i is A column i, so each p step broadcasts A(p, i0 + r)
+// against one (masked) B row. Every element is one fma chain from 0 with
+// p ascending, whatever the tile or band split, so the tiling never moves
+// a result bit (test_nn_kernels checks it against a memory-accumulating
+// reference).
+template <std::size_t R>
+inline void tn_accumulate(const float* A, const float* B, std::size_t n, std::size_t k,
+                          std::size_t m, std::size_t i0, std::size_t j0, __mmask16 m0,
+                          __mmask16 m1, __m512 acc[][2]) {
+  for (std::size_t r = 0; r < R; ++r) {
+    acc[r][0] = _mm512_setzero_ps();
+    acc[r][1] = _mm512_setzero_ps();
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    const __m512 bl = _mm512_maskz_loadu_ps(m0, B + p * m + j0);
+    const __m512 bh = _mm512_maskz_loadu_ps(m1, B + p * m + j0 + 16);
+    const float* ap = A + p * k + i0;
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(ap[r]);
+      acc[r][0] = _mm512_fmadd_ps(av, bl, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_ps(av, bh, acc[r][1]);
+    }
+  }
+}
+
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
                     std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    float* ci = C + i * m;
-    for (std::size_t j = 0; j < m; ++j) ci[j] = 0.0f;
-  }
-  const __mmask16 tail = mask_for(m % 16);
-  for (std::size_t p = 0; p < n; ++p) {
-    const float* ap = A + p * k;
-    const float* bp = B + p * m;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const __m512 av = _mm512_set1_ps(ap[i]);
-      float* ci = C + i * m;
-      std::size_t j = 0;
-      for (; j + 16 <= m; j += 16) {
-        _mm512_storeu_ps(
-            ci + j, _mm512_fmadd_ps(av, _mm512_loadu_ps(bp + j), _mm512_loadu_ps(ci + j)));
+  for (std::size_t j0 = 0; j0 < m; j0 += kNr) {
+    const std::size_t jw = std::min(kNr, m - j0);
+    const __mmask16 m0 = mask_for(std::min<std::size_t>(jw, kPanelWidth));
+    const __mmask16 m1 = mask_for(jw > kPanelWidth ? jw - kPanelWidth : 0);
+    std::size_t i = lo;
+    __m512 acc[kMr][2];
+    for (; i + kMr <= hi; i += kMr) {
+      tn_accumulate<kMr>(A, B, n, k, m, i, j0, m0, m1, acc);
+      for (std::size_t r = 0; r < kMr; ++r) {
+        float* c = C + (i + r) * m + j0;
+        _mm512_mask_storeu_ps(c, m0, acc[r][0]);
+        _mm512_mask_storeu_ps(c + 16, m1, acc[r][1]);
       }
-      if (j < m) {
-        _mm512_mask_storeu_ps(ci + j, tail,
-                              _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(tail, bp + j),
-                                              _mm512_maskz_loadu_ps(tail, ci + j)));
-      }
+    }
+    for (; i < hi; ++i) {
+      tn_accumulate<1>(A, B, n, k, m, i, j0, m0, m1, acc);
+      float* c = C + i * m + j0;
+      _mm512_mask_storeu_ps(c, m0, acc[0][0]);
+      _mm512_mask_storeu_ps(c + 16, m1, acc[0][1]);
     }
   }
 }
@@ -513,8 +585,9 @@ namespace detail {
 
 const KernelTable* avx512_table() {
   static const KernelTable table = {
-      "avx512",        gemm_row_band_f, gemm_tn_band_f,     add_row_vector_f,
-      column_sums_f,   activate_f,      dense_bias_act_f,   quantize_rows_i8_f,
+      "avx512",           gemm_row_band_f,       gemm_tn_band_f,   add_row_vector_f,
+      column_sums_f,      activate_f,            activate_derivative_f,
+      dense_bias_act_f,   quantize_rows_i8_f,
       __builtin_cpu_supports("avx512vnni") ? dense_bias_act_i8_vnni
                                            : dense_bias_act_i8_f,
   };

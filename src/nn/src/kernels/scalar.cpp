@@ -220,6 +220,51 @@ void activate_f(Activation act, const float* z, float* out, std::size_t n) {
   }
 }
 
+// The same inlined elementwise kernels as the scalar
+// activate_derivative(act, float) overload, so the two agree bitwise.
+void activate_derivative_f(Activation act, const float* z, float* out, std::size_t n) {
+  using namespace scalar_math;
+  switch (act) {
+    case Activation::kLinear:
+      std::fill(out, out + n, 1.0f);
+      return;
+    case Activation::kRelu:
+      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : 0.0f;
+      return;
+    case Activation::kElu:
+      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : fast_expf(z[i]);
+      return;
+    case Activation::kLeakyRelu:
+      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : kLeakySlope;
+      return;
+    case Activation::kSelu:
+      for (std::size_t i = 0; i < n; ++i)
+        out[i] = z[i] > 0.0f ? kSeluScale : kSeluScale * kSeluAlpha * fast_expf(z[i]);
+      return;
+    case Activation::kSigmoid:
+      for (std::size_t i = 0; i < n; ++i) {
+        const float s = sigmoid_f(z[i]);
+        out[i] = s * (1.0f - s);
+      }
+      return;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < n; ++i) {
+        const float t = std::tanh(z[i]);
+        out[i] = 1.0f - t * t;
+      }
+      return;
+    case Activation::kSoftplus:
+      for (std::size_t i = 0; i < n; ++i) out[i] = sigmoid_f(z[i]);
+      return;
+    case Activation::kSoftsign:
+      for (std::size_t i = 0; i < n; ++i) {
+        const float d = 1.0f + std::abs(z[i]);
+        out[i] = 1.0f / (d * d);
+      }
+      return;
+  }
+}
+
 void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
                       Activation act, float* y, std::size_t lo, std::size_t hi) {
   GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
@@ -333,9 +378,9 @@ namespace detail {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      "scalar",        gemm_row_band_f, gemm_tn_band_f,     add_row_vector_f,
-      column_sums_f,   activate_f,      dense_bias_act_f,   quantize_rows_i8_f,
-      dense_bias_act_i8_f,
+      "scalar",           gemm_row_band_f,       gemm_tn_band_f,   add_row_vector_f,
+      column_sums_f,      activate_f,            activate_derivative_f,
+      dense_bias_act_f,   quantize_rows_i8_f,    dense_bias_act_i8_f,
   };
   return table;
 }

@@ -34,16 +34,6 @@ float Matrix::frobenius_norm() const {
   return static_cast<float>(std::sqrt(s));
 }
 
-namespace {
-
-// Rows per parallel chunk (multiple of the 6-row register tile of the
-// kernel backends, so tile boundaries are thread-count independent).
-constexpr std::size_t kRowGrain = 48;
-// Chunk grain for the (small) k-dimension of gemm_tn outputs.
-constexpr std::size_t kTnGrain = 16;
-
-}  // namespace
-
 void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   GPUFREQ_REQUIRE(a.cols() == b.rows(), "gemm: inner dimensions mismatch");
   c.resize_uninit(a.rows(), b.cols());
@@ -58,7 +48,7 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   float* C = c.flat().data();
 
   const kernels::KernelTable& kt = kernels::active();
-  parallel_for(0, n, kRowGrain,
+  parallel_for(0, n, gemm_chunk_rows(k, m, kGemmRowTile),
                [&](std::size_t lo, std::size_t hi) { kt.gemm_row_band(A, B, C, k, m, lo, hi); });
   GPUFREQ_DCHECK_FINITE(c);
 }
@@ -76,7 +66,7 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c) {
   // the outer loop so B rows stream once per chunk and accumulation stays
   // p-ascending.
   const kernels::KernelTable& kt = kernels::active();
-  parallel_for(0, k, kTnGrain, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, k, gemm_chunk_rows(n, m, kGemmTnTile), [&](std::size_t lo, std::size_t hi) {
     kt.gemm_tn_band(A, B, C, n, k, m, lo, hi);
   });
   GPUFREQ_DCHECK_FINITE(c);
@@ -109,7 +99,7 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
   float* C = c.flat().data();
 
   const kernels::KernelTable& kt = kernels::active();
-  parallel_for(0, n, kRowGrain,
+  parallel_for(0, n, gemm_chunk_rows(k, m, kGemmRowTile),
                [&](std::size_t lo, std::size_t hi) { kt.gemm_row_band(A, Bt, C, k, m, lo, hi); });
   GPUFREQ_DCHECK_FINITE(c);
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
@@ -130,12 +131,17 @@ std::size_t SweepService::drain_locked() {
   const std::uint64_t epoch = snapshot_.epoch();
   // Cache identity context: the active kernel table pins the backend (its
   // address changes iff set_kernel_backend swaps tables; tables are >= 8
-  // aligned so the low bits are free for the precision tag). Folded into
-  // every key, so a backend or precision change can never serve a curve
-  // computed under a different numeric contract.
-  const std::uint64_t context =
+  // aligned so the low three bits are free): bits 0-1 tag the precision,
+  // and under int8 bit 2 tags the int8 variant, which the avx2 int8
+  // kernel reads at call time. Folded into every key, so a backend,
+  // precision or variant change can never serve a curve computed under a
+  // different numeric contract.
+  std::uint64_t context =
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&nn::kernels::active())) |
       (static_cast<std::uint64_t>(config_.precision) & 0x3u);
+  if (config_.precision == nn::Precision::kInt8) {
+    context |= (static_cast<std::uint64_t>(nn::kernels::active_int8_variant()) & 0x1u) << 2;
+  }
   const bool use_cache = cache_.enabled();
 
   // Coalesce bit-identical requests into shared items, probing the curve

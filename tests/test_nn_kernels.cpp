@@ -1,7 +1,8 @@
 // Kernel-backend tests: dispatch selection, weight packing, scalar-vs-AVX2
-// parity over awkward shapes, fused-vs-unfused agreement, NaN semantics of
-// the fused epilogue, and the per-backend serial==parallel bitwise
-// determinism contract. NaN tests call the kernel tables directly so the
+// parity over awkward shapes, bitwise exactness of the backward kernels,
+// fused-vs-unfused agreement, NaN semantics of the fused epilogue, and the
+// per-backend serial==parallel bitwise determinism contract (inference and
+// training). NaN tests call the kernel tables directly so the
 // sanitizer lanes' GPUFREQ_DCHECK_FINITE layer checks stay out of the way.
 #include <gtest/gtest.h>
 
@@ -9,12 +10,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/nn/network.hpp"
 #include "gpufreq/nn/precision.hpp"
+#include "gpufreq/nn/trainer.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/rng.hpp"
 #include "gpufreq/util/thread_pool.hpp"
@@ -315,6 +320,9 @@ void check_simd_parity(const KernelTable& av) {
       sc.activate(act, ms.data(), as.data(), ms.size());
       av.activate(act, ms.data(), aa.data(), ms.size());
       expect_close(as, aa);
+      sc.activate_derivative(act, ms.data(), as.data(), ms.size());
+      av.activate_derivative(act, ms.data(), aa.data(), ms.size());
+      expect_close(as, aa);
       expect_close(fused(sc, x, w, bias, act), fused(av, x, w, bias, act));
     }
 
@@ -341,6 +349,151 @@ std::vector<const KernelTable*> all_available_tables() {
   if (avx2_available()) tables.push_back(detail::avx2_table());
   if (avx512_available()) tables.push_back(detail::avx512_table());
   return tables;
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+float bits_float(std::uint32_t b) {
+  float v;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+// The SIMD gemm_tn_band as it was before register tiling: C rows [lo, hi)
+// zeroed, then p-outer accumulation in memory, every vector lane one fused
+// multiply-add. Columns past the last full 8-float lane (`scalar_from`,
+// avx2 only) ran the scalar expression `c += a * b`, which the -mfma TU
+// contracts into the same fused op — `fused_tail` false gives the
+// separately rounded form a non-contracting compiler would produce.
+void tn_memory_reference(const float* A, const float* B, float* C, std::size_t n,
+                         std::size_t k, std::size_t m, std::size_t lo, std::size_t hi,
+                         std::size_t scalar_from, bool fused_tail) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    for (std::size_t j = 0; j < m; ++j) C[i * m + j] = 0.0f;
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const float a = A[p * k + i];
+      for (std::size_t j = 0; j < m; ++j) {
+        float& c = C[i * m + j];
+        if (j < scalar_from || fused_tail) {
+          c = std::fma(a, B[p * m + j], c);
+        } else {
+          volatile float prod = a * B[p * m + j];  // no contraction
+          c = c + prod;
+        }
+      }
+    }
+  }
+}
+
+// The register-tiled SIMD gemm_tn_band must reproduce the memory-
+// accumulating form bit for bit: m % 16 column tails, band heights that
+// are not a multiple of the row tile, bands starting at lo != 0, and C
+// rows outside the band left untouched.
+TEST(KernelExactness, TiledGemmTnMatchesMemoryAccumulatingForm) {
+  std::vector<std::pair<const KernelTable*, bool>> tables;  // (table, has scalar tail)
+  if (avx2_available()) tables.emplace_back(detail::avx2_table(), true);
+  if (avx512_available()) tables.emplace_back(detail::avx512_table(), false);
+  if (tables.empty()) GTEST_SKIP() << "no SIMD backend on this machine";
+  struct TnCase {
+    std::size_t n, k, m, lo, hi;
+  };
+  const TnCase cases[] = {{64, 64, 64, 0, 64}, {64, 3, 64, 0, 3},   {64, 64, 1, 0, 64},
+                          {7, 13, 17, 0, 13},  {33, 19, 31, 5, 19}, {1, 9, 9, 1, 8},
+                          {65, 21, 40, 3, 21}, {5, 16, 15, 0, 16},  {12, 11, 33, 2, 9},
+                          {64, 64, 24, 16, 48}, {3, 70, 70, 13, 70}, {2, 8, 7, 0, 8}};
+  constexpr float kSentinel = 12345.0f;
+  for (const auto& [kt, scalar_tail] : tables) {
+    SCOPED_TRACE(kt->name);
+    for (const TnCase& c : cases) {
+      SCOPED_TRACE(::testing::Message() << "n=" << c.n << " k=" << c.k << " m=" << c.m
+                                        << " band=[" << c.lo << "," << c.hi << ")");
+      const Matrix a = random_matrix(c.n, c.k, 101 + c.k);
+      const Matrix b = random_matrix(c.n, c.m, 103 + c.m);
+      const std::size_t scalar_from = scalar_tail ? c.m - c.m % 8 : c.m;
+      std::vector<float> got(c.k * c.m, kSentinel), fused(c.k * c.m), split(c.k * c.m);
+      kt->gemm_tn_band(a.flat().data(), b.flat().data(), got.data(), c.n, c.k, c.m, c.lo, c.hi);
+      tn_memory_reference(a.flat().data(), b.flat().data(), fused.data(), c.n, c.k, c.m, c.lo,
+                          c.hi, scalar_from, true);
+      tn_memory_reference(a.flat().data(), b.flat().data(), split.data(), c.n, c.k, c.m, c.lo,
+                          c.hi, scalar_from, false);
+      for (std::size_t i = 0; i < c.k; ++i) {
+        for (std::size_t j = 0; j < c.m; ++j) {
+          const float g = got[i * c.m + j];
+          if (i < c.lo || i >= c.hi) {
+            ASSERT_EQ(float_bits(g), float_bits(kSentinel)) << "wrote outside the band at " << i;
+            continue;
+          }
+          const bool ok = float_bits(g) == float_bits(fused[i * c.m + j]) ||
+                          (j >= scalar_from && float_bits(g) == float_bits(split[i * c.m + j]));
+          ASSERT_TRUE(ok) << "C(" << i << "," << j << ") = " << g << ", reference "
+                          << fused[i * c.m + j];
+        }
+      }
+    }
+  }
+}
+
+// Inputs for the derivative exactness check: a dense stride through all
+// 2^32 bit patterns plus the edges of every branch — signed zeros,
+// denormals, infinities, NaN, exp's clamp points, and values around 0.
+std::vector<float> derivative_probe_inputs() {
+  std::vector<float> z;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 65521) {
+    z.push_back(bits_float(static_cast<std::uint32_t>(b)));
+  }
+  const float edges[] = {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                         -std::numeric_limits<float>::denorm_min(),
+                         bits_float(0x007fffffu), bits_float(0x807fffffu),
+                         std::numeric_limits<float>::min(), -std::numeric_limits<float>::min(),
+                         std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity(),
+                         std::numeric_limits<float>::quiet_NaN(), -87.0f, -87.5f, -88.0f,
+                         88.0f, 88.5f, 87.0f, -86.99f, 1e-30f, -1e-30f, 1e-7f, -1e-7f};
+  z.insert(z.end(), std::begin(edges), std::end(edges));
+  for (int i = -64; i <= 64; ++i) z.push_back(static_cast<float>(i) / 32.0f);
+  z.push_back(0.5f);  // odd length: every backend's vector tail runs
+  return z;
+}
+
+// Each backend's activate_derivative entry against the scalar overload.
+// The scalar backend shares the overload's inlined expressions, so it is
+// always bitwise. The SIMD backends port the expressions with explicit
+// FMAs: bitwise when the scalar code was built with FMA contraction (the
+// scalar TU and this test share the build's arch flags), within the
+// forward-activation tolerance otherwise. NaN must stay NaN.
+TEST(KernelExactness, DerivativeMatchesScalarOverload) {
+  const std::vector<float> z = derivative_probe_inputs();
+  std::vector<float> out(z.size());
+  for (const KernelTable* kt : all_available_tables()) {
+    SCOPED_TRACE(kt->name);
+#if defined(__FMA__)
+    const bool bitwise = true;
+#else
+    const bool bitwise = kt == &detail::scalar_table();
+#endif
+    for (Activation act : kAllActivations) {
+      SCOPED_TRACE(to_string(act));
+      kt->activate_derivative(act, z.data(), out.data(), z.size());
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        const float want = activate_derivative(act, z[i]);
+        if (std::isnan(want)) {
+          ASSERT_TRUE(std::isnan(out[i])) << "x=" << z[i];
+        } else if (bitwise) {
+          ASSERT_EQ(float_bits(out[i]), float_bits(want)) << "x=" << z[i];
+        } else if (out[i] != want) {
+          const double tol = 2e-5 + 1e-5 * std::fabs(static_cast<double>(want));
+          ASSERT_NEAR(out[i], want, tol) << "x=" << z[i];
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelParity, FusedMatchesUnfusedPerBackend) {
@@ -409,6 +562,57 @@ TEST(KernelDeterminism, SerialEqualsParallelBitwisePerBackend) {
     for (std::size_t i = 0; i < y1.rows(); ++i) {
       // Bitwise: the determinism contract, not a tolerance check.
       EXPECT_EQ(y1(i, 0), y4(i, 0)) << "row " << i;
+    }
+  }
+}
+
+// Training is bitwise independent of the thread count on every backend:
+// the paper's 64-row minibatches (one GEMM chunk each, run inline) and
+// 1024-row batches whose hidden-layer forward and gradient products span
+// several chunks on the pool.
+TEST(KernelDeterminism, TrainingIsThreadCountIndependentPerBackend) {
+  std::vector<Backend> backends = {Backend::kScalar};
+  if (avx2_available()) backends.push_back(Backend::kAvx2);
+  if (avx512_available()) backends.push_back(Backend::kAvx512);
+  ASSERT_GE(gemm_chunk_rows(64, 64, kGemmRowTile), 64u);  // minibatch: one chunk
+  ASSERT_LT(gemm_chunk_rows(64, 64, kGemmRowTile), 1024u);  // 1024 rows: several
+  ASSERT_LT(gemm_chunk_rows(1024, 64, kGemmTnTile), 64u);
+  const Matrix x = random_matrix(2600, 3, 211);
+  Matrix y(2600, 1);
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    y(i, 0) = std::sin(x(i, 0)) + 0.5f * x(i, 1) * x(i, 2);
+  }
+  const auto train = [&](std::size_t threads, std::size_t batch) {
+    set_num_threads(threads);
+    Network net(3, Network::paper_architecture(), /*seed=*/17);
+    TrainConfig cfg;
+    cfg.epochs = 3;
+    cfg.batch_size = batch;
+    Trainer(cfg).fit(net, x, y);
+    set_num_threads(0);
+    return net;
+  };
+  for (Backend b : backends) {
+    SCOPED_TRACE(to_string(b));
+    ScopedBackend guard(b);
+    for (std::size_t batch : {std::size_t{64}, std::size_t{1024}}) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch);
+      const Network one = train(1, batch);
+      const Network four = train(4, batch);
+      ASSERT_EQ(one.num_layers(), four.num_layers());
+      for (std::size_t l = 0; l < one.num_layers(); ++l) {
+        const auto w1 = one.layer(l).weights().flat();
+        const auto w4 = four.layer(l).weights().flat();
+        ASSERT_EQ(w1.size(), w4.size());
+        for (std::size_t i = 0; i < w1.size(); ++i) {
+          ASSERT_EQ(float_bits(w1[i]), float_bits(w4[i])) << "layer " << l << " weight " << i;
+        }
+        const std::vector<float>& b1 = one.layer(l).bias();
+        const std::vector<float>& b4 = four.layer(l).bias();
+        for (std::size_t i = 0; i < b1.size(); ++i) {
+          ASSERT_EQ(float_bits(b1[i]), float_bits(b4[i])) << "layer " << l << " bias " << i;
+        }
+      }
     }
   }
 }

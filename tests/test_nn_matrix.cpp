@@ -155,14 +155,22 @@ void expect_matrix_bitwise_equal(const Matrix& a, const Matrix& b) {
 
 TEST(Matrix, GemmVariantsBitwiseIdenticalAcrossThreadCounts) {
   // The contract documented on gemm/gemm_tn/gemm_nt: the accumulation
-  // order is fixed by the grain, never by the thread count, so results are
-  // bitwise identical (max-abs-diff exactly 0) for any set_num_threads.
+  // order is fixed by the shape-derived chunking, never by the thread
+  // count, so results are bitwise identical (max-abs-diff exactly 0) for
+  // any set_num_threads. The shapes are large enough that every product
+  // spans at least two chunks, so the 4-thread run really fans out.
   Rng rng(77);
-  const Matrix a = random_matrix(131, 67, rng);   // odd sizes exercise tails
-  const Matrix b = random_matrix(67, 53, rng);
-  const Matrix p = random_matrix(131, 67, rng);
-  const Matrix q = random_matrix(131, 53, rng);
-  const Matrix s = random_matrix(53, 67, rng);
+  const Matrix a = random_matrix(517, 131, rng);  // odd sizes exercise tails
+  const Matrix b = random_matrix(131, 67, rng);
+  const Matrix p = random_matrix(517, 131, rng);
+  const Matrix q = random_matrix(517, 53, rng);
+  const Matrix s = random_matrix(53, 131, rng);
+  const auto chunks = [](std::size_t rows, std::size_t chunk_rows) {
+    return (rows + chunk_rows - 1) / chunk_rows;
+  };
+  ASSERT_GE(chunks(a.rows(), gemm_chunk_rows(a.cols(), b.cols(), kGemmRowTile)), 2u);
+  ASSERT_GE(chunks(p.cols(), gemm_chunk_rows(p.rows(), q.cols(), kGemmTnTile)), 2u);
+  ASSERT_GE(chunks(a.rows(), gemm_chunk_rows(a.cols(), s.rows(), kGemmRowTile)), 2u);
 
   set_num_threads(1);
   Matrix c_serial, tn_serial, nt_serial;

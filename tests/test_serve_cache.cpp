@@ -3,7 +3,8 @@
 // eviction and set aliasing under pressure, wholesale invalidation by
 // model-epoch keying (including racing a concurrent hot-swap — the TSan
 // lane runs this), the quantized-key mode sharing a rounding cell, and the
-// parallel sharded drain matching the serial drain bitwise.
+// parallel sharded drain matching the serial drain bitwise, and the int8
+// variant keying the cache context.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,6 +15,7 @@
 
 #include "gpufreq/core/pipeline.hpp"
 #include "gpufreq/core/sweep_cache.hpp"
+#include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/serve/load_generator.hpp"
 #include "gpufreq/serve/sweep_service.hpp"
 #include "gpufreq/sim/gpu_spec.hpp"
@@ -422,6 +424,52 @@ TEST(ServeCache, ParallelShardedDrainMatchesSerialBitwise) {
     }
   }
   set_num_threads(0);
+}
+
+TEST(ServeCache, Int8VariantChangeMissesTheCache) {
+  // The avx2 int8 kernel reads the int8 variant at call time, so the
+  // variant belongs to the cache context: after set_int8_variant, a drain
+  // must recompute rather than serve the curve computed under the other
+  // variant, and land bitwise on an uncached sweep under the new variant.
+  if (!nn::kernels::avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  nn::kernels::set_kernel_backend(nn::kernels::Backend::kAvx2);
+  const nn::kernels::Int8Variant before = nn::kernels::active_int8_variant();
+  nn::kernels::set_int8_variant(nn::kernels::Int8Variant::kMadd);
+
+  Fixture f;
+  const ModelSnapshotHolder holder{fabricate_models(42, {}, nn::Precision::kInt8)};
+  ServiceConfig config;
+  config.precision = nn::Precision::kInt8;
+  SweepService service(holder, f.spec, config);
+  const SweepTicket madd = service.submit(f.request(0));
+  EXPECT_EQ(service.drain_once(), 1u);
+  EXPECT_FALSE(madd.wait().cache_hit);
+
+  nn::kernels::set_int8_variant(nn::kernels::Int8Variant::kMaddubs);
+  const SweepTicket flipped = service.submit(f.request(0));
+  EXPECT_EQ(service.drain_once(), 1u);
+  ServiceConfig uncached_config = config;
+  uncached_config.cache.sets = 0;
+  SweepService uncached(holder, f.spec, uncached_config);
+  const SweepTicket reference = uncached.submit(f.request(0));
+  EXPECT_EQ(uncached.drain_once(), 1u);
+
+  const SweepOutcome& got = flipped.wait();
+  const SweepOutcome& want = reference.wait();
+  EXPECT_FALSE(got.cache_hit);
+  ASSERT_EQ(got.energy_j.size(), want.energy_j.size());
+  bool differs_from_madd = false;
+  for (std::size_t r = 0; r < got.energy_j.size(); ++r) {
+    EXPECT_EQ(bits(got.power_w[r]), bits(want.power_w[r])) << "row " << r;
+    EXPECT_EQ(bits(got.time_s[r]), bits(want.time_s[r])) << "row " << r;
+    EXPECT_EQ(bits(got.energy_j[r]), bits(want.energy_j[r])) << "row " << r;
+    differs_from_madd |= bits(got.power_w[r]) != bits(madd.wait().power_w[r]);
+  }
+  // Otherwise a stale hit would be indistinguishable from a recompute.
+  EXPECT_TRUE(differs_from_madd);
+
+  nn::kernels::set_int8_variant(before);
+  nn::kernels::set_kernel_backend(nn::kernels::Backend::kAuto);
 }
 
 TEST(ServeCache, LoadSpecRejectsNegativeZipf) {
