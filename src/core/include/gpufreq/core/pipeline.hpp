@@ -6,6 +6,7 @@
 
 #include "gpufreq/core/models.hpp"
 #include "gpufreq/core/profiles.hpp"
+#include "gpufreq/nn/precision.hpp"
 
 namespace gpufreq::core {
 
@@ -112,16 +113,12 @@ struct BatchSweepWorkspace {
 /// features with the clock feature swapped.
 class OnlinePredictor {
  public:
-  /// `precision` selects the network inference path for every sweep this
-  /// predictor runs (default: the session default, GPUFREQ_PRECISION).
-  /// kInt8 needs the models packed at kInt8 (DnnModel::prepare_inference);
-  /// models without int8 packs silently run the fp32 kernels instead —
-  /// the predictor borrows the models const and never repacks them.
+  /// Borrows the models const and never repacks them. Inference is fp32;
+  /// the Precision parameter exists only because the benchmark harness
+  /// (benchmark/src/{fleet,closed_loop}.cpp) passes one, and the next
+  /// change to the benchmark retires it (see gpufreq/nn/precision.hpp).
   explicit OnlinePredictor(const PowerTimeModels& models,
-                           nn::Precision precision = nn::default_precision());
-
-  /// The inference precision this predictor was constructed with.
-  nn::Precision precision() const { return precision_; }
+                           nn::Precision precision = nn::Precision::kFp32);
 
   /// Predicted DVFS profile for the workload on the given device. `runs`
   /// controls the max-frequency feature acquisition (paper: one execution).
@@ -166,7 +163,6 @@ class OnlinePredictor {
 
  private:
   const PowerTimeModels& models_;
-  nn::Precision precision_;
   /// Metric names resolved once at construction so the sweep extraction
   /// loops run string-free (hot-path purity contract, DESIGN.md §8).
   FeaturePlan feature_plan_;

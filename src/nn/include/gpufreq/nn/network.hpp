@@ -17,9 +17,8 @@ struct LayerSpec {
 
 /// Reusable scratch for Network::predict_into: two ping-pong activation
 /// buffers that grow to the widest layer on first use and are then reused
-/// verbatim, so steady-state inference performs no heap allocation. The
-/// int8 path additionally keeps the quantized-activation carriers and
-/// per-row scales here. One workspace serves any number of networks
+/// verbatim, so steady-state inference performs no heap allocation. One
+/// workspace serves any number of networks
 /// (buffers are resized per call, capacity only grows); share one per
 /// thread, not across threads.
 class InferenceWorkspace {
@@ -29,8 +28,6 @@ class InferenceWorkspace {
  private:
   friend class Network;
   Matrix bufs_[2];
-  std::vector<std::int16_t> q_;   // int8 path: quantized rows (int16 carriers)
-  std::vector<float> qscales_;    // int8 path: per-row dequant scales
 };
 
 /// Standard feedforward neural network (the paper's FNN, §4.3): a stack of
@@ -57,43 +54,36 @@ class Network {
   /// (const) but not re-entrant with train_step on the same object.
   /// Convenience wrapper over predict_into (per-thread workspace); the
   /// returned matrix is the only allocation it makes in steady state.
-  /// Rejects empty batches (x.rows() == 0). `precision` selects the fused
-  /// kernel per layer; layers not prepared for kInt8 fall back to fp32.
-  Matrix predict(const Matrix& x, Precision precision = Precision::kFp32) const;
+  /// Rejects empty batches (x.rows() == 0).
+  Matrix predict(const Matrix& x) const;
 
   /// Inference into a caller-owned workspace; the returned reference
   /// points at one of the workspace buffers and stays valid until the
   /// workspace is reused. Allocation-free once the workspace has warmed
-  /// up to this network's widest layer (and, for kInt8, its quantization
-  /// scratch).
-  const Matrix& predict_into(const Matrix& x, InferenceWorkspace& ws,
-                             Precision precision = Precision::kFp32) const;
+  /// up to this network's widest layer.
+  const Matrix& predict_into(const Matrix& x, InferenceWorkspace& ws) const;
 
   /// Convenience for single-output networks: predict a column vector.
-  std::vector<double> predict_vector(const Matrix& x,
-                                     Precision precision = Precision::kFp32) const;
+  std::vector<double> predict_vector(const Matrix& x) const;
 
   /// Single-output inference into a caller-owned span (out.size() must
   /// equal x.rows()); allocation-free like predict_into.
-  void predict_vector_into(const Matrix& x, InferenceWorkspace& ws, std::span<double> out,
-                           Precision precision = Precision::kFp32) const;
+  void predict_vector_into(const Matrix& x, InferenceWorkspace& ws,
+                           std::span<double> out) const;
 
   /// Pre-grow `ws` for batches of up to `max_rows` rows through this
   /// network, so a later predict_into at or below that batch size performs
-  /// no allocation even on its first call. Capacity only grows; pass
-  /// kInt8 to also pre-size the quantization scratch.
-  void reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows,
-                         Precision precision = Precision::kFp32) const;
+  /// no allocation even on its first call. Capacity only grows.
+  void reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const;
 
-  /// Pack every layer's weights for the fused inference kernel (kInt8
-  /// additionally builds the quantized sibling packs). Idempotent;
-  /// training steps and weight re-initialization invalidate the packs (the
-  /// layers then fall back to the unfused path until re-prepared).
-  void prepare_inference(Precision precision = Precision::kFp32);
+  /// Pack every layer's weights for the fused inference kernel.
+  /// Idempotent; training steps and weight re-initialization invalidate
+  /// the packs (the layers then fall back to the unfused path until
+  /// re-prepared).
+  void prepare_inference();
 
-  /// True when every layer's fused-inference pack for `precision` is
-  /// current.
-  bool inference_prepared(Precision precision = Precision::kFp32) const;
+  /// True when every layer's fused-inference pack is current.
+  bool inference_prepared() const;
 
   /// One optimizer step on a mini-batch; returns the batch loss before the
   /// update. `opt` must have been bound with bind_optimizer first.

@@ -7,7 +7,6 @@
 // path, so results are bitwise identical for any thread count.
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/util/hot_path.hpp"
@@ -39,37 +38,17 @@ inline v8sf load8(const float* p) {
   return v;
 }
 
-// Accumulate the kMr x kNr tile into `acc` (row-major kMr x kNr floats).
+// Continue the kMr x kNr tile's accumulation chains held in `acc`
+// (row-major kMr x kNr floats, read and then overwritten) over k more
+// inner-dimension steps. Callers start from a zeroed acc; a k-blocked
+// caller carries acc from block to block, which leaves every element's
+// p-ascending multiply-add chain exactly as one call over all of k.
 inline void tile_accumulate(const float* a, std::size_t lda, const float* b, std::size_t ldb,
                             std::size_t k, float* acc) {
-  v8sf a0l = {}, a0h = {}, a1l = {}, a1h = {}, a2l = {}, a2h = {};
-  v8sf a3l = {}, a3h = {}, a4l = {}, a4h = {}, a5l = {}, a5h = {};
-  for (std::size_t p = 0; p < k; ++p) {
-    const v8sf bl = load8(b + p * ldb);
-    const v8sf bh = load8(b + p * ldb + 8);
-    float x;
-    x = a[0 * lda + p]; a0l += x * bl; a0h += x * bh;
-    x = a[1 * lda + p]; a1l += x * bl; a1h += x * bh;
-    x = a[2 * lda + p]; a2l += x * bl; a2h += x * bh;
-    x = a[3 * lda + p]; a3l += x * bl; a3h += x * bh;
-    x = a[4 * lda + p]; a4l += x * bl; a4h += x * bh;
-    x = a[5 * lda + p]; a5l += x * bl; a5h += x * bh;
-  }
-  const v8sf out[kMr][2] = {{a0l, a0h}, {a1l, a1h}, {a2l, a2h},
-                            {a3l, a3h}, {a4l, a4h}, {a5l, a5h}};
-  __builtin_memcpy(acc, &out[0][0], sizeof(out));
-}
-
-// Same tile, but every accumulator row starts at the bias lanes instead of
-// zero, so z = bias + sum(a*b) costs nothing extra: the bias add rides the
-// register initialization and no separate add_row_vector pass is needed.
-inline void tile_accumulate_bias(const float* a, std::size_t lda, const float* b,
-                                 std::size_t ldb, std::size_t k, const float* bias16,
-                                 float* acc) {
-  const v8sf b0 = load8(bias16);
-  const v8sf b1 = load8(bias16 + 8);
-  v8sf a0l = b0, a0h = b1, a1l = b0, a1h = b1, a2l = b0, a2h = b1;
-  v8sf a3l = b0, a3h = b1, a4l = b0, a4h = b1, a5l = b0, a5h = b1;
+  v8sf a0l = load8(acc + 0), a0h = load8(acc + 8), a1l = load8(acc + 16);
+  v8sf a1h = load8(acc + 24), a2l = load8(acc + 32), a2h = load8(acc + 40);
+  v8sf a3l = load8(acc + 48), a3h = load8(acc + 56), a4l = load8(acc + 64);
+  v8sf a4h = load8(acc + 72), a5l = load8(acc + 80), a5h = load8(acc + 88);
   for (std::size_t p = 0; p < k; ++p) {
     const v8sf bl = load8(b + p * ldb);
     const v8sf bh = load8(b + p * ldb + 8);
@@ -88,22 +67,6 @@ inline void tile_accumulate_bias(const float* a, std::size_t lda, const float* b
 #else
 inline void tile_accumulate(const float* a, std::size_t lda, const float* b, std::size_t ldb,
                             std::size_t k, float* acc) {
-  for (std::size_t i = 0; i < kMr * kNr; ++i) acc[i] = 0.0f;
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* bp = b + p * ldb;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float ar = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r * kNr + j] += ar * bp[j];
-    }
-  }
-}
-
-inline void tile_accumulate_bias(const float* a, std::size_t lda, const float* b,
-                                 std::size_t ldb, std::size_t k, const float* bias16,
-                                 float* acc) {
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) acc[r * kNr + j] = bias16[j];
-  }
   for (std::size_t p = 0; p < k; ++p) {
     const float* bp = b + p * ldb;
     for (std::size_t r = 0; r < kMr; ++r) {
@@ -116,7 +79,7 @@ inline void tile_accumulate_bias(const float* a, std::size_t lda, const float* b
 
 inline void kernel_mrxnr(const float* a, std::size_t lda, const float* b, std::size_t ldb,
                          float* c, std::size_t ldc, std::size_t k) {
-  float acc[kMr * kNr];
+  float acc[kMr * kNr] = {};
   tile_accumulate(a, lda, b, ldb, k, acc);
   for (std::size_t r = 0; r < kMr; ++r) {
     for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r * kNr + j];
@@ -265,110 +228,56 @@ void activate_derivative_f(Activation act, const float* z, float* out, std::size
   }
 }
 
+// y rows [i, i + rows) of one panel: the finished sums plus the bias,
+// added after the sum exactly as add_row_vector_f does.
+inline void store_plus_bias(const float* acc, std::size_t rows, const float* bias, float* y,
+                            std::size_t ldy, std::size_t jn) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* yr = y + r * ldy;
+    for (std::size_t j = 0; j < jn; ++j) yr[j] = acc[r * kNr + j] + bias[j];
+  }
+}
+
+// Inner-dimension block of the row tail's zero-padded stack tile: bounds
+// its stack use for any k.
+constexpr std::size_t kTailKc = 64;
+
 void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
                       Activation act, float* y, std::size_t lo, std::size_t hi) {
   GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
-  // Band-level fusion. A per-tile epilogue (bias + activation on the 6x16
-  // accumulator block) was measured SLOWER than the unfused three-pass
-  // path here: the extra round trips through the stack tile eat more than
-  // the saved memory pass. What does win on this backend is (a) folding
-  // the bias into the accumulator *initialization* — the add_row_vector
-  // pass disappears at zero cost — and (b) activating the finished band in
-  // one contiguous span, the exact loop shape the auto-vectorizer already
-  // handles for whole-matrix activation. Net: two passes over y instead of
-  // the unfused path's three, and one fewer kernel launch.
+  // Element for element the unfused gemm_row_band_f -> add_row_vector_f ->
+  // activate_f chain: every sum accumulates from 0 through tile_accumulate,
+  // then the bias is added, then the finished band is activated in one
+  // contiguous pass. Tail rows run the same tile code on a zero-padded
+  // copy, so a row's result never depends on the band it sits in.
   const std::size_t k = w.rows();
   const std::size_t n = w.cols();
+  const std::size_t tail = lo + (hi - lo) / kMr * kMr;
   for (std::size_t p = 0; p < w.panel_count(); ++p) {
     const std::size_t j0 = p * kPanelWidth;
     const std::size_t jn = std::min(kPanelWidth, n - j0);
     const float* B = w.panel(p);
-    // Bias lanes for this panel, zero-padded like the packed weights so
-    // the tile kernel can read a full 16-wide vector on tail panels.
-    float bias16[kPanelWidth] = {};
-    for (std::size_t j = 0; j < jn; ++j) bias16[j] = bias[j0 + j];
-    std::size_t i = lo;
     float acc[kMr * kNr];
-    for (; i + kMr <= hi; i += kMr) {
-      tile_accumulate_bias(x + i * k, k, B, kPanelWidth, k, bias16, acc);
-      for (std::size_t r = 0; r < kMr; ++r) {
-        float* yr = y + (i + r) * n + j0;
-        for (std::size_t j = 0; j < jn; ++j) yr[j] = acc[r * kNr + j];
-      }
+    for (std::size_t i = lo; i < tail; i += kMr) {
+      std::fill(acc, acc + kMr * kNr, 0.0f);
+      tile_accumulate(x + i * k, k, B, kPanelWidth, k, acc);
+      store_plus_bias(acc, kMr, bias + j0, y + i * n + j0, n, jn);
     }
-    // Row tail: same p-ascending accumulation, one row at a time.
-    for (; i < hi; ++i) {
-      for (std::size_t j = 0; j < kNr; ++j) acc[j] = bias16[j];
-      const float* xi = x + i * k;
-      for (std::size_t q = 0; q < k; ++q) {
-        const float xq = xi[q];
-        const float* bq = B + q * kPanelWidth;
-        for (std::size_t j = 0; j < kNr; ++j) acc[j] += xq * bq[j];
-      }
-      float* yr = y + i * n + j0;
-      for (std::size_t j = 0; j < jn; ++j) yr[j] = acc[j];
-    }
-  }
-  // One contiguous activation pass over the completed band.
-  activate_f(act, y + lo * n, y + lo * n, (hi - lo) * n);
-}
-
-void quantize_rows_i8_f(const float* x, std::size_t k, std::int16_t* q,
-                        std::size_t qstride, float* scales, std::size_t lo,
-                        std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::quantize_rows_i8_f");
-  for (std::size_t i = lo; i < hi; ++i) {
-    const float* xi = x + i * k;
-    // max is commutative/associative over finite floats, so the reduction
-    // order is free and SIMD backends land on the same amax bitwise.
-    float amax = 0.0f;
-    for (std::size_t j = 0; j < k; ++j) amax = std::max(amax, std::fabs(xi[j]));
-    const float inv = amax > 0.0f ? 16383.0f / amax : 0.0f;
-    scales[i] = amax > 0.0f ? amax / 16383.0f : 0.0f;
-    std::int16_t* qi = q + i * qstride;
-    for (std::size_t j = 0; j < k; ++j) {
-      // nearbyintf in the default rounding mode is round-to-nearest-even,
-      // the same convention as the SIMD cvtps2dq.
-      const int v = static_cast<int>(std::nearbyintf(xi[j] * inv));
-      qi[j] = static_cast<std::int16_t>(std::clamp(v, -16383, 16383));
-    }
-    for (std::size_t j = k; j < qstride; ++j) qi[j] = 0;
-  }
-}
-
-void dense_bias_act_i8_f(const std::int16_t* q, const float* row_scales,
-                         const QuantizedPackedWeights& w, const float* bias,
-                         Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_i8_f");
-  const std::size_t kpad = w.kpad();
-  const std::size_t n = w.cols();
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const std::int8_t* B = w.panel(p);
-    const float* ws = w.scales(p);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::int16_t* qi = q + i * kpad;
-      // Exact int32 accumulation over k-pair blocks: |a*w| <= 16383*127
-      // per term and pack() bounds k, so nothing overflows and the sum is
-      // order-free.
-      std::int32_t acc[kPanelWidth] = {};
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        const std::int32_t a0 = qi[2 * kp];
-        const std::int32_t a1 = qi[2 * kp + 1];
-        const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-        for (std::size_t j = 0; j < kPanelWidth; ++j) {
-          acc[j] += a0 * blk[2 * j] + a1 * blk[2 * j + 1];
+    if (tail < hi) {
+      const std::size_t rows = hi - tail;
+      float xt[kMr * kTailKc] = {};  // rows past `rows` stay zero
+      std::fill(acc, acc + kMr * kNr, 0.0f);
+      for (std::size_t q0 = 0; q0 < k; q0 += kTailKc) {
+        const std::size_t kc = std::min(kTailKc, k - q0);
+        for (std::size_t r = 0; r < rows; ++r) {
+          const float* xr = x + (tail + r) * k + q0;
+          std::copy(xr, xr + kc, xt + r * kc);
         }
+        tile_accumulate(xt, kc, B + q0 * kPanelWidth, kPanelWidth, kc, acc);
       }
-      const float rs = row_scales[i];
-      float* yr = y + i * n + j0;
-      for (std::size_t j = 0; j < jn; ++j) {
-        yr[j] = static_cast<float>(acc[j]) * (rs * ws[j]) + bias[j0 + j];
-      }
+      store_plus_bias(acc, rows, bias + j0, y + tail * n + j0, n, jn);
     }
   }
-  // Same band-level activation pass as the fp32 fused kernel.
   activate_f(act, y + lo * n, y + lo * n, (hi - lo) * n);
 }
 
@@ -378,9 +287,8 @@ namespace detail {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      "scalar",           gemm_row_band_f,       gemm_tn_band_f,   add_row_vector_f,
-      column_sums_f,      activate_f,            activate_derivative_f,
-      dense_bias_act_f,   quantize_rows_i8_f,    dense_bias_act_i8_f,
+      "scalar",      gemm_row_band_f, gemm_tn_band_f,        add_row_vector_f,
+      column_sums_f, activate_f,      activate_derivative_f, dense_bias_act_f,
   };
   return table;
 }

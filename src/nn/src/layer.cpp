@@ -4,7 +4,6 @@
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
 #include "gpufreq/util/thread_pool.hpp"
-#include "gpufreq/util/workspace.hpp"
 
 namespace gpufreq::nn {
 
@@ -18,7 +17,6 @@ void DenseLayer::init_lecun_normal(Rng& rng) {
   for (float& v : w_.flat()) v = static_cast<float>(rng.normal(0.0, stddev));
   for (float& v : b_) v = 0.0f;
   packed_.clear();
-  qpacked_.clear();
 }
 
 void DenseLayer::register_params(Optimizer& opt) {
@@ -61,39 +59,7 @@ void DenseLayer::forward_inference(const Matrix& x, Matrix& out) const {
   GPUFREQ_DCHECK_FINITE(out);
 }
 
-void DenseLayer::forward_inference_i8(const Matrix& x, Matrix& out,
-                                      std::vector<std::int16_t>& q,
-                                      std::vector<float>& scales) const {
-  GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_inference_i8");
-  GPUFREQ_REQUIRE(x.cols() == w_.rows(), "DenseLayer::forward_inference_i8: width mismatch");
-  GPUFREQ_REQUIRE(!qpacked_.empty(),
-                  "DenseLayer::forward_inference_i8: int8 pack not prepared");
-  const std::size_t rows = x.rows();
-  out.resize_uninit(rows, w_.cols());
-  if (rows == 0) return;
-  const std::size_t kpad = qpacked_.kpad();
-  gpufreq::detail::workspace_resize(q, rows * kpad);
-  gpufreq::detail::workspace_resize(scales, rows);
-  const kernels::KernelTable& kt = kernels::active();
-  const float* X = x.flat().data();
-  const float* bias = b_.data();
-  std::int16_t* Q = q.data();
-  float* S = scales.data();
-  float* Y = out.flat().data();
-  // Quantization and the fused int8 GEMM are both row-local, so one band
-  // covers both stages with no cross-chunk dependency; the same 48-row
-  // grain as the fp32 path keeps chunking thread-count independent.
-  parallel_for(0, rows, 48, [&](std::size_t lo, std::size_t hi) {
-    kt.quantize_rows_i8(X, w_.rows(), Q, kpad, S, lo, hi);
-    kt.dense_bias_act_i8(Q, S, qpacked_, bias, act_, Y, lo, hi);
-  });
-  GPUFREQ_DCHECK_FINITE(out);
-}
-
-void DenseLayer::prepare_inference(Precision precision) {
-  packed_.pack(w_);
-  if (precision == Precision::kInt8) qpacked_.pack(w_);
-}
+void DenseLayer::prepare_inference() { packed_.pack(w_); }
 
 void DenseLayer::backward(const Matrix& delta, Matrix& dx) {
   GPUFREQ_REQUIRE(cached_x_ != nullptr, "DenseLayer::backward: forward not called");
@@ -126,7 +92,6 @@ void DenseLayer::apply_gradients(Optimizer& opt) {
   opt.update(slot_w_, w_.flat(), grad_w_.flat());
   opt.update(slot_b_, b_, grad_b_);
   packed_.clear();
-  qpacked_.clear();
 }
 
 }  // namespace gpufreq::nn

@@ -45,74 +45,55 @@ InferenceWorkspace& fallback_workspace() {
 }
 }  // namespace
 
-const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
-                                    Precision precision) const {
+const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws) const {
   GPUFREQ_HOT("gpufreq::nn::Network::predict_into");
   GPUFREQ_REQUIRE(!layers_.empty(), "Network::predict: empty network");
   GPUFREQ_REQUIRE(x.rows() > 0, "Network::predict: empty batch");
   // Ping-pong between the workspace buffers; the input is only ever read,
-  // so no up-front copy of x is needed. Under kInt8 each prepared layer
-  // quantizes its input rows into the workspace carriers and runs the
-  // fused int8 kernel; unprepared layers fall back to fp32.
+  // so no up-front copy of x is needed.
   const Matrix* cur = &x;
   std::size_t w = 0;
   for (const auto& l : layers_) {
-    if (precision == Precision::kInt8 && l.inference_prepared(Precision::kInt8)) {
-      l.forward_inference_i8(*cur, ws.bufs_[w], ws.q_, ws.qscales_);
-    } else {
-      l.forward_inference(*cur, ws.bufs_[w]);
-    }
+    l.forward_inference(*cur, ws.bufs_[w]);
     cur = &ws.bufs_[w];
     w ^= 1;
   }
   return *cur;
 }
 
-Matrix Network::predict(const Matrix& x, Precision precision) const {
-  return predict_into(x, fallback_workspace(), precision);
+Matrix Network::predict(const Matrix& x) const {
+  return predict_into(x, fallback_workspace());
 }
 
-std::vector<double> Network::predict_vector(const Matrix& x, Precision precision) const {
+std::vector<double> Network::predict_vector(const Matrix& x) const {
   std::vector<double> out(x.rows());
-  predict_vector_into(x, fallback_workspace(), out, precision);
+  predict_vector_into(x, fallback_workspace(), out);
   return out;
 }
 
 void Network::predict_vector_into(const Matrix& x, InferenceWorkspace& ws,
-                                  std::span<double> out, Precision precision) const {
+                                  std::span<double> out) const {
   GPUFREQ_HOT("gpufreq::nn::Network::predict_vector_into");
   GPUFREQ_REQUIRE(output_dim() == 1, "Network::predict_vector: network is not single-output");
   GPUFREQ_REQUIRE(out.size() == x.rows(), "Network::predict_vector: output size mismatch");
-  const Matrix& y = predict_into(x, ws, precision);
+  const Matrix& y = predict_into(x, ws);
   for (std::size_t i = 0; i < y.rows(); ++i) out[i] = y(i, 0);
 }
 
-void Network::reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows,
-                                Precision precision) const {
+void Network::reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const {
   std::size_t widest = 0;
   for (const auto& l : layers_) widest = std::max(widest, l.out_dim());
   ws.bufs_[0].reserve(max_rows, widest);
   ws.bufs_[1].reserve(max_rows, widest);
-  if (precision == Precision::kInt8) {
-    // Widest quantized input across layers: in_dim rounded up to even
-    // (the packs may not exist yet, so compute the stride directly).
-    std::size_t max_kpad = 0;
-    for (const auto& l : layers_) {
-      const std::size_t kpad = l.in_dim() + (l.in_dim() & 1);
-      max_kpad = std::max(max_kpad, kpad);
-    }
-    ws.q_.reserve(max_rows * max_kpad);
-    ws.qscales_.reserve(max_rows);
-  }
 }
 
-void Network::prepare_inference(Precision precision) {
-  for (auto& l : layers_) l.prepare_inference(precision);
+void Network::prepare_inference() {
+  for (auto& l : layers_) l.prepare_inference();
 }
 
-bool Network::inference_prepared(Precision precision) const {
+bool Network::inference_prepared() const {
   for (const auto& l : layers_) {
-    if (!l.inference_prepared(precision)) return false;
+    if (!l.inference_prepared()) return false;
   }
   return !layers_.empty();
 }

@@ -28,11 +28,6 @@ struct ServiceConfig {
   /// Default frequency grid for requests that do not carry their own.
   /// Empty selects the GPU's used frequencies (the paper's 61 configs).
   std::vector<double> frequencies;
-  /// Inference precision for every drained batch (default: the session
-  /// default, GPUFREQ_PRECISION). kInt8 requires the published snapshots'
-  /// models to carry int8 packs (DnnModel::prepare_inference(kInt8));
-  /// models without them silently run fp32 kernels.
-  nn::Precision precision = nn::default_precision();
   /// Sweep-curve cache shape (core::SweepCacheConfig). The default keeps
   /// a 512-entry exact-key cache: repeat requests across drains skip the
   /// GEMM chain entirely and are served bitwise-identical curves.

@@ -46,9 +46,8 @@ std::vector<CatalogEntry> make_catalog(std::size_t n, const sim::GpuSpec& spec,
   return catalog;
 }
 
-std::shared_ptr<const core::PowerTimeModels> fabricate_models(std::uint64_t seed,
-                                                              const core::FeatureConfig& features,
-                                                              nn::Precision precision) {
+std::shared_ptr<const core::PowerTimeModels> fabricate_models(
+    std::uint64_t seed, const core::FeatureConfig& features) {
   GPUFREQ_REQUIRE(features.dim() > 0, "fabricate_models: empty feature set");
   auto models = std::make_shared<core::PowerTimeModels>();
   models->features = features;
@@ -65,8 +64,7 @@ std::shared_ptr<const core::PowerTimeModels> fabricate_models(std::uint64_t seed
     nn::Matrix y(64, 1);
     for (float& v : y.flat()) v = static_cast<float>(rng.normal(0.7, 0.2));
     bundle.target_scaler.fit(y);
-    model.restore(std::move(bundle), target);
-    model.prepare_inference(precision);  // restore packed at the session default
+    model.restore(std::move(bundle), target);  // packs for fused inference
   };
   fabricate(models->power, core::Target::kPower, rng.next_u64());
   fabricate(models->time, core::Target::kTime, rng.next_u64());

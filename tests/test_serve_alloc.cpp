@@ -210,68 +210,5 @@ TEST(ServeAlloc, CachedDrainHitsAndInsertsAreAllocationFree) {
   EXPECT_GT(cached.stats().cache_hits, 0u);
 }
 
-TEST(ServeAlloc, SteadyStateInt8BatchSweepIsAllocationFree) {
-  // The int8 path adds quantization scratch (int16 carriers + row scales)
-  // to the workspace; once warmed it must be just as heap-silent as fp32.
-  const auto models = fabricate_models(42, {}, nn::Precision::kInt8);
-  const core::OnlinePredictor predictor(*models, nn::Precision::kInt8);
-  const sim::GpuSpec spec = sim::GpuSpec::ga100();
-  const auto catalog = make_catalog(4, spec, 7);
-  const std::vector<double> grid = spec.used_frequencies();
-
-  std::vector<core::BatchSweepItem> items;
-  for (std::size_t i = 0; i < 61; ++i) {
-    const CatalogEntry& app = catalog[i % catalog.size()];
-    items.push_back({.counters = &app.counters,
-                     .measured_time_at_max_s = app.measured_time_at_max_s,
-                     .frequencies = grid});
-  }
-
-  core::BatchSweepWorkspace ws;
-  for (int i = 0; i < 3; ++i) predictor.predict_sweep_batch(items, spec, ws);
-
-  g_allocation_count.store(0);
-  g_count_allocations.store(true);
-  for (int i = 0; i < 5; ++i) predictor.predict_sweep_batch(items, spec, ws);
-  g_count_allocations.store(false);
-  EXPECT_EQ(g_allocation_count.load(), 0u)
-      << "steady-state int8 predict_sweep_batch must not touch the heap";
-}
-
-TEST(ServeAlloc, SteadyStateInt8ServiceDrainIsAllocationFree) {
-  const auto models = fabricate_models(42, {}, nn::Precision::kInt8);
-  const sim::GpuSpec spec = sim::GpuSpec::ga100();
-  ModelSnapshotHolder holder(models);
-  ServiceConfig config;
-  config.max_batch = 32;
-  config.precision = nn::Precision::kInt8;
-  SweepService service(holder, spec, config);
-  const auto catalog = make_catalog(4, spec, 7);
-
-  const auto submit_round = [&] {
-    for (std::size_t i = 0; i < 32; ++i) {
-      SweepRequest r;
-      r.descriptor = {.category = WorkloadCategory::kInteractive, .band = 1};
-      r.counters = catalog[i % catalog.size()].counters;
-      r.measured_time_at_max_s = catalog[i % catalog.size()].measured_time_at_max_s;
-      (void)service.submit(std::move(r));
-    }
-  };
-
-  for (int round = 0; round < 2; ++round) {
-    submit_round();
-    ASSERT_EQ(service.drain_once(), 32u);
-  }
-
-  submit_round();
-  g_allocation_count.store(0);
-  g_count_allocations.store(true);
-  const std::size_t served = service.drain_once();
-  g_count_allocations.store(false);
-  EXPECT_EQ(served, 32u);
-  EXPECT_EQ(g_allocation_count.load(), 0u)
-      << "steady-state int8 SweepService::drain_once must not touch the heap";
-}
-
 }  // namespace
 }  // namespace gpufreq::serve
