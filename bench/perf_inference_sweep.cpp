@@ -62,7 +62,7 @@ BENCHMARK(BM_NetworkForward)
     ->ArgPair(2, 0)->ArgPair(2, 1)
     ->Unit(benchmark::kMicrosecond);
 
-// The full online sweep through the allocation-free entry point: feature
+// The full online sweep as a one-item predict_sweep_batch: feature
 // replication + both models + clamps, reusing one workspace: the
 // 61-config sweep latency.
 void BM_SweepPredict(benchmark::State& state) {
@@ -76,9 +76,12 @@ void BM_SweepPredict(benchmark::State& state) {
   const sim::RunResult acq = gpu.run(workloads::find("lammps"), ro);
   const auto freqs = gpu.spec().used_frequencies();
 
-  core::SweepWorkspace ws;
+  const core::BatchSweepItem item{.counters = &acq.mean_counters,
+                                  .measured_time_at_max_s = acq.exec_time_s,
+                                  .frequencies = freqs};
+  core::BatchSweepWorkspace ws;
   for (auto _ : state) {
-    predictor.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, ws);
+    predictor.predict_sweep_batch({&item, 1}, gpu.spec(), ws);
     benchmark::DoNotOptimize(ws.energy_j.data());
     benchmark::ClobberMemory();
   }
@@ -86,33 +89,6 @@ void BM_SweepPredict(benchmark::State& state) {
   bench::reset_backend();
 }
 BENCHMARK(BM_SweepPredict)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMicrosecond);
-
-// Same sweep through the legacy DvfsProfile-returning wrapper (what the
-// seed benchmarked as BM_PredictFullDvfsSpace), for the before/after
-// comparison in BENCH_perf.json. The wrapper allocates its result, so it
-// is not the path serving uses.
-void BM_SweepPredictLegacy(benchmark::State& state) {
-  if (!bench::select_backend(state)) return;
-  static sim::GpuDevice gpu = bench::make_ga100();
-  const core::OnlinePredictor predictor(sweep_models());
-
-  gpu.reset_clocks();
-  sim::RunOptions ro;
-  ro.collect_samples = false;
-  const sim::RunResult acq = gpu.run(workloads::find("lammps"), ro);
-  const auto freqs = gpu.spec().used_frequencies();
-
-  for (auto _ : state) {
-    const core::DvfsProfile p = predictor.predict_from_features(
-        acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, "lammps");
-    benchmark::DoNotOptimize(p.energy_j.data());
-  }
-  state.counters["configs"] = static_cast<double>(freqs.size());
-  bench::reset_backend();
-}
-BENCHMARK(BM_SweepPredictLegacy)
     ->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 

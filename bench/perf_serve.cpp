@@ -1,5 +1,5 @@
 // Microbench of the multi-tenant sweep service: fused N-request batched
-// sweeps vs N sequential predict_sweep calls, the service drain cycle
+// sweeps vs N sequential one-item sweeps, the service drain cycle
 // under a fleet-style request mix (finite app catalog -> bit-identical
 // requests coalesce), and an open-loop load run reporting requests/sec and
 // p50/p99 latency per priority band. tools/run_benchmarks.sh merges this
@@ -49,8 +49,8 @@ std::vector<serve::CatalogEntry> unique_apps(std::size_t n, const sim::GpuSpec& 
   return serve::make_catalog(n, spec, /*seed=*/0xA9B0);
 }
 
-// Baseline: N independent online sweeps, one predict_sweep per request
-// (what N tenants hitting N per-tenant predictors would cost).
+// Baseline: N independent online sweeps, one one-item predict_sweep_batch
+// per request (what N tenants hitting N per-tenant predictors would cost).
 void BM_SequentialSweeps(benchmark::State& state) {
   if (!bench::select_backend(state)) return;
   const core::OnlinePredictor predictor(shared_models());
@@ -59,10 +59,13 @@ void BM_SequentialSweeps(benchmark::State& state) {
   const auto apps = unique_apps(n, spec);
   const std::vector<double> freqs = spec.used_frequencies();
 
-  core::SweepWorkspace ws;
+  core::BatchSweepWorkspace ws;
   for (auto _ : state) {
     for (const serve::CatalogEntry& app : apps) {
-      predictor.predict_sweep(app.counters, app.measured_time_at_max_s, spec, freqs, ws);
+      const core::BatchSweepItem item{.counters = &app.counters,
+                                      .measured_time_at_max_s = app.measured_time_at_max_s,
+                                      .frequencies = freqs};
+      predictor.predict_sweep_batch({&item, 1}, spec, ws);
       benchmark::DoNotOptimize(ws.energy_j.data());
     }
     benchmark::ClobberMemory();

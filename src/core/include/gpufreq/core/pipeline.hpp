@@ -48,23 +48,6 @@ class OfflineTrainer {
   OfflineConfig config_;
 };
 
-/// Reusable scratch + results for OnlinePredictor::predict_sweep. Holds
-/// everything one DVFS sweep touches — the sorted frequency list, the
-/// shared feature matrix both models read, per-model inference scratch,
-/// and the output vectors — so a warmed-up workspace makes the whole
-/// 61-configuration sweep without a single heap allocation. One per
-/// thread.
-struct SweepWorkspace {
-  std::vector<double> frequencies;  ///< sorted sweep order (ascending MHz)
-  std::vector<double> power_w;      ///< predicted board power per config
-  std::vector<double> time_s;       ///< predicted execution time per config
-  std::vector<double> energy_j;     ///< power * time (Equation 8)
-
-  nn::Matrix features;              ///< sweep x feature_dim, shared by both models
-  DnnModel::Workspace power_model;
-  DnnModel::Workspace time_model;
-};
-
 /// One entry of a fused multi-request sweep: the max-frequency counters
 /// and wall time of one application, plus the frequency grid to sweep it
 /// across. `counters` and `frequencies` are borrowed — they must stay
@@ -77,9 +60,11 @@ struct BatchSweepItem {
 
 /// Reusable scratch + results for OnlinePredictor::predict_sweep_batch.
 /// All per-config arrays are concatenated item-major; `offsets` maps item
-/// i to its row range [offsets[i], offsets[i+1]). Like SweepWorkspace, a
-/// warmed-up instance serves any batch at or below its high-water mark
-/// without a single heap allocation. One per drain thread.
+/// i to its row range [offsets[i], offsets[i+1]). Holds everything a sweep
+/// touches — the sorted grids, the shared feature matrix both models read,
+/// per-model inference scratch and the output curves — so a warmed-up
+/// instance serves any batch at or below its high-water mark without a
+/// single heap allocation. One per thread.
 struct BatchSweepWorkspace {
   std::vector<std::size_t> offsets;  ///< item -> first row (size items+1)
   std::vector<double> frequencies;   ///< per-item sorted grids, concatenated
@@ -127,32 +112,26 @@ class OnlinePredictor {
                       double input_scale = 1.0) const;
 
   /// Predict from already-acquired max-frequency counters plus the measured
-  /// wall time, without touching a device (pure model inference).
+  /// wall time, without touching a device (pure model inference). A
+  /// one-item predict_sweep_batch on a thread-local workspace, copied into
+  /// a DvfsProfile.
   DvfsProfile predict_from_features(const sim::CounterSet& max_freq_counters,
                                     double measured_time_at_max_s, const sim::GpuSpec& spec,
                                     const std::vector<double>& frequencies,
                                     const std::string& workload_name) const;
 
-  /// The allocation-free core of predict_from_features: sorts the
-  /// frequencies into ws.frequencies, builds the shared feature matrix
-  /// once, runs both models through the fused inference path, and leaves
-  /// the clamped power/time/energy curves in ws. predict_from_features is
-  /// a thin wrapper that copies the workspace into a DvfsProfile.
-  void predict_sweep(const sim::CounterSet& max_freq_counters, double measured_time_at_max_s,
-                     const sim::GpuSpec& spec, const std::vector<double>& frequencies,
-                     SweepWorkspace& ws) const;
-
-  /// Fused multi-request sweep: the feature rows of every item are stacked
-  /// into ONE matrix and each model runs a single large fused GEMM chain
-  /// over it, amortizing kernel dispatch, scaler transforms, finite
-  /// checks, and weight-panel cache traffic across the whole batch. Every
-  /// per-row computation (feature extraction, both models, clamps) is
-  /// row-local in the kernel contract, so each item's slice of the result
-  /// is bitwise identical to an independent predict_sweep of that item.
-  /// Items may carry ragged (different-length) frequency grids; each grid
-  /// is sorted ascending into ws.frequencies exactly as predict_sweep
-  /// sorts its input. Allocation-free once ws is warmed (or reserved via
-  /// reserve_batch_workspace).
+  /// The online sweep, allocation-free: sorts each item's frequencies into
+  /// its slice of ws.frequencies, builds one shared feature matrix, runs
+  /// both models through the fused inference path, and leaves the clamped
+  /// power/time/energy curves in ws. The feature rows of every item are
+  /// stacked into ONE matrix and each model runs a single fused GEMM chain
+  /// over it, amortizing kernel dispatch, scaler transforms, finite checks,
+  /// and weight-panel cache traffic across the whole batch. Every per-row
+  /// computation (feature extraction, both models, clamps) is row-local in
+  /// the kernel contract, so each item's slice of the result is bitwise
+  /// identical to a one-item batch of that item. Items may carry ragged
+  /// (different-length) frequency grids. Allocation-free once ws is warmed
+  /// (or reserved via reserve_batch_workspace).
   void predict_sweep_batch(std::span<const BatchSweepItem> items, const sim::GpuSpec& spec,
                            BatchSweepWorkspace& ws) const;
 

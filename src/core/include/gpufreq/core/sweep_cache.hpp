@@ -9,7 +9,7 @@
 
 namespace gpufreq::core {
 
-/// Shape and keying mode of a SweepCurveCache.
+/// Shape of a SweepCurveCache.
 struct SweepCacheConfig {
   /// Number of sets (rounded up to a power of two; 0 disables the cache).
   std::size_t sets = 128;
@@ -19,16 +19,6 @@ struct SweepCacheConfig {
   /// cache entirely (counted as misses, never inserted). The default
   /// comfortably covers the paper's 61-configuration grid.
   std::size_t max_rows = 96;
-  /// 0 keys on the exact bit patterns of the counters and t_max (hits are
-  /// bitwise-identical to recompute by construction). A value in [1, 52]
-  /// opts into quantized keys: counters and t_max are rounded to a
-  /// relative grid of spacing 2^-key_bits before keying, so requests whose
-  /// inputs differ by less than the cell width share an entry and are
-  /// served the first-seen member's curve. That approximation is gated by
-  /// the EDP-equivalence methodology (tools/check_quantization
-  /// --key-study): strict argmin agreement or fp32-EDP regret <= 0.5%
-  /// over the 27x61 grid. The frequency grid is always keyed exactly.
-  unsigned key_bits = 0;
 };
 
 /// Monotonic cache counters (read via SweepCurveCache::stats()).
@@ -84,7 +74,6 @@ class SweepCurveCache {
   std::size_t sets() const { return sets_; }
   std::size_t ways() const { return ways_; }
   std::size_t max_rows() const { return max_rows_; }
-  unsigned key_bits() const { return key_bits_; }
   /// Total entry capacity (sets * ways).
   std::size_t capacity() const { return sets_ * ways_; }
 
@@ -113,13 +102,6 @@ class SweepCurveCache {
 
   const SweepCacheStats& stats() const { return stats_; }
 
-  /// Round a double's bit pattern to the relative 2^-key_bits grid
-  /// (identity for key_bits == 0). Pure integer math on the IEEE-754
-  /// representation: round-to-nearest in the low mantissa bits with the
-  /// carry propagating naturally into the exponent. Exposed for the
-  /// quantized-key equivalence study in tools/check_quantization.
-  static std::uint64_t quantize_bits(std::uint64_t bit_pattern, unsigned key_bits);
-
  private:
   struct Entry {
     std::uint64_t key[kKeyWords] = {};
@@ -139,7 +121,6 @@ class SweepCurveCache {
   std::size_t sets_ = 0;   ///< power of two (0 when disabled)
   std::size_t ways_ = 0;
   std::size_t max_rows_ = 0;
-  unsigned key_bits_ = 0;
 
   std::vector<Entry> entries_;  ///< sets * ways, set-major
   std::vector<double> slab_;    ///< entries * kBands * max_rows doubles

@@ -103,8 +103,13 @@ DvfsProfile OnlinePredictor::predict_from_features(const sim::CounterSet& max_fr
                                                    const sim::GpuSpec& spec,
                                                    const std::vector<double>& frequencies,
                                                    const std::string& workload_name) const {
-  static thread_local SweepWorkspace ws;
-  predict_sweep(max_freq_counters, measured_time_at_max_s, spec, frequencies, ws);
+  // Heap-free in steady state: the workspace keeps its high-water buffers
+  // per thread, so only the returned profile allocates.
+  static thread_local BatchSweepWorkspace ws;
+  const BatchSweepItem item{.counters = &max_freq_counters,
+                            .measured_time_at_max_s = measured_time_at_max_s,
+                            .frequencies = frequencies};
+  predict_sweep_batch({&item, 1}, spec, ws);
 
   DvfsProfile p;
   p.workload = workload_name;
@@ -116,56 +121,6 @@ DvfsProfile OnlinePredictor::predict_from_features(const sim::CounterSet& max_fr
   p.energy_j = ws.energy_j;
   p.validate();
   return p;
-}
-
-void OnlinePredictor::predict_sweep(const sim::CounterSet& max_freq_counters,
-                                    double measured_time_at_max_s, const sim::GpuSpec& spec,
-                                    const std::vector<double>& frequencies,
-                                    SweepWorkspace& ws) const {
-  GPUFREQ_HOT("gpufreq::core::OnlinePredictor::predict_sweep");
-  GPUFREQ_REQUIRE(measured_time_at_max_s > 0.0,
-                  "OnlinePredictor: measured time must be positive");
-  GPUFREQ_REQUIRE(!frequencies.empty(), "OnlinePredictor: no frequencies");
-
-  detail::workspace_assign(ws.frequencies, frequencies.data(),
-                           frequencies.data() + frequencies.size());
-  // Heapsort, not std::sort: introsort recursion is rejected by the
-  // stack-bound gate (gpufreq/util/sort.hpp).
-  detail::bounded_sort(ws.frequencies.begin(), ws.frequencies.end());
-  const std::size_t n = ws.frequencies.size();
-
-  // Replicate the (frequency-invariant) features across the DVFS space with
-  // only the clock feature swapped — the paper's key data-reduction idea.
-  // Each row depends only on its own frequency, so the 61-config sweep
-  // extracts in parallel (rows are disjoint; output is order-independent).
-  // Both models read this one matrix; it is built exactly once per sweep.
-  ws.features.resize_uninit(n, models_.features.dim());
-  parallel_for(0, n, 8, [&](std::size_t lo, std::size_t hi) {
-    sim::CounterSet c = max_freq_counters;
-    for (std::size_t i = lo; i < hi; ++i) {
-      c.sm_app_clock = ws.frequencies[i];
-      feature_plan_.extract_into(c, ws.features.row(i));
-    }
-  });
-
-  detail::workspace_resize(ws.power_w, n);
-  detail::workspace_resize(ws.time_s, n);
-  detail::workspace_resize(ws.energy_j, n);
-  models_.power.predict_into(ws.features, ws.power_model, ws.power_w);
-  models_.time.predict_into(ws.features, ws.time_model, ws.time_s);
-  // A NaN here means poisoned weights or features; fail before it turns
-  // into a silently wrong "optimal" frequency downstream.
-  GPUFREQ_CHECK_FINITE(ws.power_w);
-  GPUFREQ_CHECK_FINITE(ws.time_s);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    // Clamp to physically meaningful ranges: the DNN output is unbounded.
-    const double pw = std::max(1.0, ws.power_w[i] * spec.tdp_w);
-    const double t = std::max(1e-6, ws.time_s[i] * measured_time_at_max_s);
-    ws.power_w[i] = pw;
-    ws.time_s[i] = t;
-    ws.energy_j[i] = pw * t;  // Equation 8
-  }
 }
 
 void OnlinePredictor::predict_sweep_batch(std::span<const BatchSweepItem> items,
@@ -187,8 +142,9 @@ void OnlinePredictor::predict_sweep_batch(std::span<const BatchSweepItem> items,
   }
   ws.offsets[items.size()] = total;
 
-  // Per-item sorted grids, exactly the transform predict_sweep applies to
-  // its frequency list, concatenated item-major.
+  // Per-item grids sorted ascending, concatenated item-major. Heapsort,
+  // not std::sort: introsort recursion is rejected by the stack-bound gate
+  // (gpufreq/util/sort.hpp).
   detail::workspace_resize(ws.frequencies, total);
   for (std::size_t i = 0; i < items.size(); ++i) {
     double* seg = ws.frequencies.data() + ws.offsets[i];
@@ -196,10 +152,12 @@ void OnlinePredictor::predict_sweep_batch(std::span<const BatchSweepItem> items,
     detail::bounded_sort(seg, seg + items[i].frequencies.size());
   }
 
-  // One shared feature matrix for the whole batch. Rows are disjoint and
-  // each depends only on (its item's counters, its own frequency), so the
-  // flat parallel partition is output-order independent and per-row
-  // bitwise identical to the single-sweep extraction.
+  // Replicate each item's (frequency-invariant) features across its grid
+  // with only the clock feature swapped — the paper's key data-reduction
+  // idea — into one shared feature matrix for the whole batch. Rows are
+  // disjoint and each depends only on (its item's counters, its own
+  // frequency), so the flat parallel partition is output-order independent
+  // and per-row bitwise identical for any batch composition.
   ws.features.resize_uninit(total, models_.features.dim());
   parallel_for(0, total, 8, [&](std::size_t lo, std::size_t hi) {
     std::size_t item =
@@ -223,12 +181,15 @@ void OnlinePredictor::predict_sweep_batch(std::span<const BatchSweepItem> items,
   // The fused N-item GEMM chain: one predict per model over all rows.
   models_.power.predict_into(ws.features, ws.power_model, ws.power_w);
   models_.time.predict_into(ws.features, ws.time_model, ws.time_s);
+  // A NaN here means poisoned weights or features; fail before it turns
+  // into a silently wrong "optimal" frequency downstream.
   GPUFREQ_CHECK_FINITE(ws.power_w);
   GPUFREQ_CHECK_FINITE(ws.time_s);
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     const double t_max = items[i].measured_time_at_max_s;
     for (std::size_t r = ws.offsets[i]; r < ws.offsets[i + 1]; ++r) {
+      // Clamp to physically meaningful ranges: the DNN output is unbounded.
       const double pw = std::max(1.0, ws.power_w[r] * spec.tdp_w);
       const double t = std::max(1e-6, ws.time_s[r] * t_max);
       ws.power_w[r] = pw;

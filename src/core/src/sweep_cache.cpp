@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
 
 namespace gpufreq::core {
@@ -33,26 +32,11 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-std::uint64_t SweepCurveCache::quantize_bits(std::uint64_t bit_pattern, unsigned key_bits) {
-  if (key_bits == 0 || key_bits >= 52) return bit_pattern;  // >= 52: full mantissa = exact
-  // Keep the top key_bits mantissa bits, rounding to nearest. The add may
-  // carry from the mantissa into the exponent field, which is exactly the
-  // IEEE neighbor relation — the result is the nearest representable
-  // double on the 2^-key_bits relative grid. Sign and exponent survive
-  // untouched for values already on the grid (zero included).
-  const unsigned shift = 52u - key_bits;
-  const std::uint64_t half = 1ull << (shift - 1);
-  const std::uint64_t mask = ~((1ull << shift) - 1ull);
-  return (bit_pattern + half) & mask;
-}
-
 SweepCurveCache::SweepCurveCache(const SweepCacheConfig& config) {
-  GPUFREQ_REQUIRE(config.key_bits <= 52, "SweepCurveCache: key_bits must be in [0, 52]");
   if (config.sets == 0 || config.ways == 0 || config.max_rows == 0) return;  // disabled
   sets_ = round_up_pow2(config.sets);
   ways_ = config.ways;
   max_rows_ = config.max_rows;
-  key_bits_ = config.key_bits;
   // The whole footprint is allocated here, once: steady-state lookups and
   // inserts only ever index into these two arrays.
   entries_.resize(sets_ * ways_);
@@ -71,23 +55,23 @@ SweepCurveCache::LookupResult SweepCurveCache::lookup(const sim::CounterSet& cou
     return {};
   }
 
-  // Key: the 12 counter bit patterns and t_max (both rounded in
-  // quantized-key mode), then the exact model-identity words. The grid is
-  // keyed outside the fixed words — hashed here, compared in full below.
+  // Key: the exact bit patterns of the 12 counters and t_max, then the
+  // model-identity words. The grid is keyed outside the fixed words —
+  // hashed here, compared in full below.
   std::uint64_t* k = probe.key;
-  k[0] = quantize_bits(bits(counters.fp64_active), key_bits_);
-  k[1] = quantize_bits(bits(counters.fp32_active), key_bits_);
-  k[2] = quantize_bits(bits(counters.sm_app_clock), key_bits_);
-  k[3] = quantize_bits(bits(counters.dram_active), key_bits_);
-  k[4] = quantize_bits(bits(counters.gr_engine_active), key_bits_);
-  k[5] = quantize_bits(bits(counters.gpu_utilization), key_bits_);
-  k[6] = quantize_bits(bits(counters.power_usage), key_bits_);
-  k[7] = quantize_bits(bits(counters.sm_active), key_bits_);
-  k[8] = quantize_bits(bits(counters.sm_occupancy), key_bits_);
-  k[9] = quantize_bits(bits(counters.pcie_tx_bytes), key_bits_);
-  k[10] = quantize_bits(bits(counters.pcie_rx_bytes), key_bits_);
-  k[11] = quantize_bits(bits(counters.exec_time), key_bits_);
-  k[12] = quantize_bits(bits(measured_time_at_max_s), key_bits_);
+  k[0] = bits(counters.fp64_active);
+  k[1] = bits(counters.fp32_active);
+  k[2] = bits(counters.sm_app_clock);
+  k[3] = bits(counters.dram_active);
+  k[4] = bits(counters.gr_engine_active);
+  k[5] = bits(counters.gpu_utilization);
+  k[6] = bits(counters.power_usage);
+  k[7] = bits(counters.sm_active);
+  k[8] = bits(counters.sm_occupancy);
+  k[9] = bits(counters.pcie_tx_bytes);
+  k[10] = bits(counters.pcie_rx_bytes);
+  k[11] = bits(counters.exec_time);
+  k[12] = bits(measured_time_at_max_s);
   k[13] = epoch;
   k[14] = context;
 

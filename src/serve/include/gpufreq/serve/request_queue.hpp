@@ -27,7 +27,7 @@ struct SweepRequest {
 
 /// Completed sweep results plus service-side observability for one request.
 /// The per-config curves are bitwise identical to what an independent
-/// OnlinePredictor::predict_sweep of the same request would produce.
+/// OnlinePredictor::predict_from_features of the same request would produce.
 struct SweepOutcome {
   std::vector<double> frequencies;  ///< ascending MHz
   std::vector<double> power_w;      ///< clamped board power per config

@@ -16,30 +16,25 @@
 
 namespace gpufreq::serve {
 
-/// Tuning knobs for SweepService.
+/// Tuning knobs for SweepService. Bit-identical requests within a batch
+/// always coalesce: one item is computed and its (bitwise-equal) curves are
+/// copied to the duplicates. This is where the multi-tenant win comes from
+/// — fleet nodes running the same app catalog submit identical (counters,
+/// t_max, grid) requests. A drain fans its uncached unique items across up
+/// to num_threads() (at construction) workspace shards on the
+/// deterministic thread pool; the batch contract is row-local, so
+/// per-item results are bitwise identical for any shard count.
 struct ServiceConfig {
   /// Max requests fused into one batched sweep per drain.
   std::size_t max_batch = 128;
-  /// Coalesce bit-identical requests within a batch: compute one item,
-  /// copy its (bitwise-equal) curves to the duplicates. This is where the
-  /// multi-tenant win comes from — fleet nodes running the same app
-  /// catalog submit identical (counters, t_max, grid) requests.
-  bool coalesce_identical = true;
   /// Default frequency grid for requests that do not carry their own.
   /// Empty selects the GPU's used frequencies (the paper's 61 configs).
   std::vector<double> frequencies;
   /// Sweep-curve cache shape (core::SweepCacheConfig). The default keeps
   /// a 512-entry exact-key cache: repeat requests across drains skip the
   /// GEMM chain entirely and are served bitwise-identical curves.
-  /// cache.sets = 0 disables memoization; cache.key_bits > 0 opts into
-  /// the quantized-key mode (see SweepCacheConfig).
+  /// cache.sets = 0 disables memoization.
   core::SweepCacheConfig cache;
-  /// Upper bound on the number of workspace shards a drain fans uncached
-  /// unique items across on the deterministic thread pool. Each shard
-  /// runs its slice through its own predict_sweep_batch, so per-item
-  /// results stay bitwise identical to the serial single-workspace drain
-  /// (the batch contract is row-local). 0 selects num_threads().
-  std::size_t drain_shards = 0;
 };
 
 /// Monotonic service counters (snapshot via SweepService::stats()).
@@ -62,10 +57,11 @@ struct ServiceStats {
 /// max_batch requests in strict priority order, fuses them into one
 /// N-item x per-item-grid batched sweep (single GEMM chain per model via
 /// OnlinePredictor::predict_sweep_batch), and publishes per-request
-/// outcomes that are bitwise identical to N independent predict_sweep
-/// calls. Models are read through an epoch-cached snapshot, so a publish()
-/// on the ModelSnapshotHolder hot-swaps models between batches without
-/// ever blocking the drain on a reader lock in steady state.
+/// outcomes that are bitwise identical to N independent
+/// OnlinePredictor::predict_from_features calls. Models are read through
+/// an epoch-cached snapshot, so a publish() on the ModelSnapshotHolder
+/// hot-swaps models between batches without ever blocking the drain on a
+/// reader lock in steady state.
 ///
 /// Threading: submit()/stats()/pending() are safe from any thread.
 /// drain_once() is internally serialized (drain_mutex_), so explicit
@@ -81,7 +77,10 @@ class SweepService {
   SweepService(const SweepService&) = delete;
   SweepService& operator=(const SweepService&) = delete;
 
-  /// Enqueue a request; returns immediately with a waitable ticket.
+  /// Enqueue a request; returns immediately with a waitable ticket. Throws
+  /// InvalidArgument for a non-finite counter, a non-finite or
+  /// non-positive measured time, or a grid entry that is non-finite or
+  /// non-positive: such input would fail inside the drain instead.
   SweepTicket submit(SweepRequest request) GPUFREQ_EXCLUDES(mutex_);
 
   /// Serve one batch synchronously on the calling thread. Returns the
@@ -132,7 +131,7 @@ class SweepService {
   // [s * grain, (s + 1) * grain) of the current drain. Serial drains
   // (one shard) use shard_ws_[0], so the warmed high-water behavior is
   // unchanged from the single-workspace layout.
-  std::size_t shard_count_ = 1;
+  std::size_t shard_count_ = 1;  ///< num_threads() at construction, <= max_batch
   std::size_t shard_grain_ GPUFREQ_GUARDED_BY(drain_mutex_) = 0;
   std::vector<core::BatchSweepWorkspace> shard_ws_ GPUFREQ_GUARDED_BY(drain_mutex_);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -42,6 +43,11 @@ bool same_computation(const detail::SweepSlot& a, const detail::SweepSlot& b) {
   return true;
 }
 
+bool finite_positive(std::span<const double> grid) {
+  return std::all_of(grid.begin(), grid.end(),
+                     [](double f) { return std::isfinite(f) && f > 0.0; });
+}
+
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -64,6 +70,8 @@ SweepService::SweepService(const ModelSnapshotHolder& models, sim::GpuSpec spec,
         GPUFREQ_REQUIRE(c.max_batch > 0, "SweepService: max_batch must be positive");
         if (c.frequencies.empty()) c.frequencies = spec_.used_frequencies();
         GPUFREQ_REQUIRE(!c.frequencies.empty(), "SweepService: empty default frequency grid");
+        GPUFREQ_REQUIRE(finite_positive(c.frequencies),
+                        "SweepService: grid frequencies must be finite and positive");
         return c;
       }()),
       cache_(config_.cache) {
@@ -75,16 +83,24 @@ SweepService::SweepService(const ModelSnapshotHolder& models, sim::GpuSpec spec,
   hit_.reserve(config_.max_batch);
   miss_of_.reserve(config_.max_batch);
   miss_items_.reserve(config_.max_batch);
-  shard_count_ = config_.drain_shards != 0 ? config_.drain_shards : num_threads();
-  shard_count_ = std::clamp<std::size_t>(shard_count_, 1, config_.max_batch);
+  shard_count_ = std::clamp<std::size_t>(num_threads(), 1, config_.max_batch);
   shard_ws_.resize(shard_count_);
 }
 
 SweepService::~SweepService() { stop(); }
 
 SweepTicket SweepService::submit(SweepRequest request) {
-  GPUFREQ_REQUIRE(request.measured_time_at_max_s > 0.0,
-                  "SweepService: measured time must be positive");
+  // Reject here what the drain's finite checks would otherwise throw on,
+  // mid-batch, for every request sharing that batch.
+  for (int m = 0; m <= static_cast<int>(sim::MetricId::kExecTime); ++m) {
+    GPUFREQ_REQUIRE(std::isfinite(request.counters.value(static_cast<sim::MetricId>(m))),
+                    "SweepService: counters must be finite");
+  }
+  GPUFREQ_REQUIRE(std::isfinite(request.measured_time_at_max_s) &&
+                      request.measured_time_at_max_s > 0.0,
+                  "SweepService: measured time must be finite and positive");
+  GPUFREQ_REQUIRE(finite_positive(request.frequencies),
+                  "SweepService: grid frequencies must be finite and positive");
   auto slot = std::make_shared<detail::SweepSlot>();
   slot->descriptor = request.descriptor;
   (void)slot->descriptor.priority();  // validates the band range
@@ -154,12 +170,10 @@ std::size_t SweepService::drain_locked() {
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     detail::SweepSlot& slot = *batch_[i];
     std::size_t u = unique_.size();
-    if (config_.coalesce_identical) {
-      for (std::size_t j = 0; j < unique_.size(); ++j) {
-        if (same_computation(*batch_[unique_[j]], slot)) {
-          u = j;
-          break;
-        }
+    for (std::size_t j = 0; j < unique_.size(); ++j) {
+      if (same_computation(*batch_[unique_[j]], slot)) {
+        u = j;
+        break;
       }
     }
     gpufreq::detail::workspace_push(rep_, static_cast<std::uint32_t>(u));
@@ -196,9 +210,9 @@ std::size_t SweepService::drain_locked() {
   // The fused sweep over everything the cache could not answer, sharded
   // across the deterministic pool: shard s computes miss items
   // [s*grain, (s+1)*grain) into its own workspace. Every per-item slice
-  // is bitwise identical to an independent predict_sweep (the batch
-  // contract is row-local), so any shard partition — including the serial
-  // one-shard case — produces identical outcomes.
+  // is bitwise identical to an independent predict_from_features (the
+  // batch contract is row-local), so any shard partition — including the
+  // serial one-shard case — produces identical outcomes.
   const std::size_t n_miss = miss_items_.size();
   if (n_miss > 0) {
     const std::size_t shards = std::min(shard_count_, n_miss);

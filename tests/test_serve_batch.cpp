@@ -1,6 +1,6 @@
 // Bitwise parity of the fused batched sweep: predict_sweep_batch over N
 // items (ragged grids included) must reproduce, bit for bit, what N
-// independent predict_sweep calls produce. This is the contract that lets
+// independent predict_from_features calls produce. This is the contract that lets
 // SweepService fuse concurrent tenants into one GEMM without changing any
 // tenant's answer.
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@ struct Fixture {
 
 /// Per-item grid: a ragged prefix of the used frequencies, submitted in
 /// descending order for odd items to prove the batch path sorts exactly
-/// like predict_sweep does.
+/// like predict_from_features does.
 std::vector<std::vector<double>> ragged_grids(const sim::GpuSpec& spec, std::size_t n) {
   const std::vector<double> all = spec.used_frequencies();
   std::vector<std::vector<double>> grids;
@@ -58,20 +58,19 @@ void expect_batch_matches_sequential(std::size_t n) {
   f.predictor.predict_sweep_batch(items, f.spec, ws);
   ASSERT_EQ(ws.items(), n);
 
-  core::SweepWorkspace sws;
   for (std::size_t i = 0; i < n; ++i) {
-    f.predictor.predict_sweep(*items[i].counters, items[i].measured_time_at_max_s, f.spec,
-                              grids[i], sws);
-    ASSERT_EQ(ws.rows(i), sws.frequencies.size()) << "item " << i;
+    const core::DvfsProfile p = f.predictor.predict_from_features(
+        *items[i].counters, items[i].measured_time_at_max_s, f.spec, grids[i], "item");
+    ASSERT_EQ(ws.rows(i), p.size()) << "item " << i;
     const auto freq = ws.item_frequencies(i);
     const auto power = ws.item_power(i);
     const auto time = ws.item_time(i);
     const auto energy = ws.item_energy(i);
-    for (std::size_t r = 0; r < sws.frequencies.size(); ++r) {
-      EXPECT_EQ(bits(freq[r]), bits(sws.frequencies[r])) << "item " << i << " row " << r;
-      EXPECT_EQ(bits(power[r]), bits(sws.power_w[r])) << "item " << i << " row " << r;
-      EXPECT_EQ(bits(time[r]), bits(sws.time_s[r])) << "item " << i << " row " << r;
-      EXPECT_EQ(bits(energy[r]), bits(sws.energy_j[r])) << "item " << i << " row " << r;
+    for (std::size_t r = 0; r < p.size(); ++r) {
+      EXPECT_EQ(bits(freq[r]), bits(p.frequency_mhz[r])) << "item " << i << " row " << r;
+      EXPECT_EQ(bits(power[r]), bits(p.power_w[r])) << "item " << i << " row " << r;
+      EXPECT_EQ(bits(time[r]), bits(p.time_s[r])) << "item " << i << " row " << r;
+      EXPECT_EQ(bits(energy[r]), bits(p.energy_j[r])) << "item " << i << " row " << r;
     }
   }
 }
@@ -99,13 +98,12 @@ TEST(ServeBatch, WorkspaceIsReusableAcrossBatchShapes) {
     f.predictor.predict_sweep_batch(items, f.spec, ws);
     ASSERT_EQ(ws.items(), n);
 
-    core::SweepWorkspace sws;
     for (std::size_t i = 0; i < n; ++i) {
-      f.predictor.predict_sweep(*items[i].counters, items[i].measured_time_at_max_s, f.spec,
-                                grid, sws);
+      const core::DvfsProfile p = f.predictor.predict_from_features(
+          *items[i].counters, items[i].measured_time_at_max_s, f.spec, grid, "item");
       const auto energy = ws.item_energy(i);
-      for (std::size_t r = 0; r < sws.energy_j.size(); ++r)
-        ASSERT_EQ(bits(energy[r]), bits(sws.energy_j[r])) << "n=" << n << " item " << i;
+      for (std::size_t r = 0; r < p.size(); ++r)
+        ASSERT_EQ(bits(energy[r]), bits(p.energy_j[r])) << "n=" << n << " item " << i;
     }
   }
 }

@@ -2,8 +2,8 @@
 // service: exact-key hits are bitwise-identical to recomputing, LRU
 // eviction and set aliasing under pressure, wholesale invalidation by
 // model-epoch keying (including racing a concurrent hot-swap — the TSan
-// lane runs this), the quantized-key mode sharing a rounding cell, and the
-// parallel sharded drain matching the serial drain bitwise.
+// lane runs this), and the parallel sharded drain matching the serial
+// drain bitwise.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -41,47 +41,34 @@ struct Fixture {
   }
 };
 
-void expect_curves_bitwise_equal(const SweepOutcome& out, const core::SweepWorkspace& ws) {
-  ASSERT_EQ(out.frequencies.size(), ws.frequencies.size());
-  for (std::size_t r = 0; r < ws.frequencies.size(); ++r) {
-    EXPECT_EQ(bits(out.frequencies[r]), bits(ws.frequencies[r])) << "row " << r;
-    EXPECT_EQ(bits(out.power_w[r]), bits(ws.power_w[r])) << "row " << r;
-    EXPECT_EQ(bits(out.time_s[r]), bits(ws.time_s[r])) << "row " << r;
-    EXPECT_EQ(bits(out.energy_j[r]), bits(ws.energy_j[r])) << "row " << r;
+/// The reference curve: a one-item sweep of `app` over `grid` into `ws`.
+void sweep_one(const core::OnlinePredictor& predictor, const CatalogEntry& app,
+               const sim::GpuSpec& spec, const std::vector<double>& grid,
+               core::BatchSweepWorkspace& ws) {
+  const core::BatchSweepItem item{.counters = &app.counters,
+                                  .measured_time_at_max_s = app.measured_time_at_max_s,
+                                  .frequencies = grid};
+  predictor.predict_sweep_batch({&item, 1}, spec, ws);
+}
+
+/// Compares `out` with the one item `sweep_one` left in `ws`.
+void expect_curves_bitwise_equal(const SweepOutcome& out, const core::BatchSweepWorkspace& ws) {
+  const auto freq = ws.item_frequencies(0);
+  const auto power = ws.item_power(0);
+  const auto time = ws.item_time(0);
+  const auto energy = ws.item_energy(0);
+  ASSERT_EQ(out.frequencies.size(), freq.size());
+  for (std::size_t r = 0; r < freq.size(); ++r) {
+    EXPECT_EQ(bits(out.frequencies[r]), bits(freq[r])) << "row " << r;
+    EXPECT_EQ(bits(out.power_w[r]), bits(power[r])) << "row " << r;
+    EXPECT_EQ(bits(out.time_s[r]), bits(time[r])) << "row " << r;
+    EXPECT_EQ(bits(out.energy_j[r]), bits(energy[r])) << "row " << r;
   }
 }
 
 // ---------------------------------------------------------------------------
 // SweepCurveCache unit level
 // ---------------------------------------------------------------------------
-
-TEST(SweepCache, QuantizeBitsGridProperties) {
-  using core::SweepCurveCache;
-  const std::uint64_t one = bits(1.0);
-
-  // key_bits 0 (exact mode) and >= 52 are the identity.
-  EXPECT_EQ(SweepCurveCache::quantize_bits(0x3ff123456789abcdull, 0), 0x3ff123456789abcdull);
-  EXPECT_EQ(SweepCurveCache::quantize_bits(0x3ff123456789abcdull, 52), 0x3ff123456789abcdull);
-  EXPECT_EQ(SweepCurveCache::quantize_bits(0x3ff123456789abcdull, 60), 0x3ff123456789abcdull);
-
-  // Values already on the 2^-8 relative grid are fixed points.
-  EXPECT_EQ(SweepCurveCache::quantize_bits(one, 8), one);
-
-  // Round-to-nearest in the dropped mantissa bits: just-below-half rounds
-  // down, half-and-above rounds up one cell (shift = 52 - 8 = 44).
-  const std::uint64_t half = 1ull << 43;
-  const std::uint64_t cell = 1ull << 44;
-  EXPECT_EQ(SweepCurveCache::quantize_bits(one | (half - 1), 8), one);
-  EXPECT_EQ(SweepCurveCache::quantize_bits(one | half, 8), one + cell);
-
-  // The carry propagates into the exponent: the all-ones mantissa just
-  // below 2.0 rounds up to exactly 2.0.
-  EXPECT_EQ(SweepCurveCache::quantize_bits(bits(2.0) - 1, 8), bits(2.0));
-
-  // Idempotent: a quantized pattern is its own quantization.
-  const std::uint64_t q = SweepCurveCache::quantize_bits(bits(0.3141592653589793), 8);
-  EXPECT_EQ(SweepCurveCache::quantize_bits(q, 8), q);
-}
 
 TEST(SweepCache, DisabledCacheAndOversizeGridsBypass) {
   const sim::GpuSpec spec = sim::GpuSpec::ga100();
@@ -185,14 +172,13 @@ TEST(ServeCache, ExactKeyHitIsBitwiseIdenticalToRecompute) {
   EXPECT_EQ(service.drain_once(), 4u);
 
   const core::OnlinePredictor predictor(*f.models);
-  core::SweepWorkspace ws;
+  core::BatchSweepWorkspace ws;
   for (std::size_t i = 0; i < 4; ++i) {
     const SweepOutcome& cold = first[i].wait();
     const SweepOutcome& warm = second[i].wait();
     EXPECT_FALSE(cold.cache_hit);
     EXPECT_TRUE(warm.cache_hit);
-    predictor.predict_sweep(f.catalog[i].counters, f.catalog[i].measured_time_at_max_s, f.spec,
-                            service.default_frequencies(), ws);
+    sweep_one(predictor, f.catalog[i], f.spec, service.default_frequencies(), ws);
     expect_curves_bitwise_equal(cold, ws);
     expect_curves_bitwise_equal(warm, ws);
     EXPECT_EQ(warm.min_energy_frequency_mhz, cold.min_energy_frequency_mhz);
@@ -239,15 +225,14 @@ TEST(ServeCache, EvictionUnderSetPressureStaysCorrect) {
   SweepService service(f.holder, f.spec, config);
 
   const core::OnlinePredictor predictor(*f.models);
-  core::SweepWorkspace ws;
+  core::BatchSweepWorkspace ws;
   const auto drain_and_check = [&](std::size_t app) -> SweepOutcome {
     const SweepTicket t = service.submit(f.request(app));
     EXPECT_EQ(service.drain_once(), 1u);
     const SweepOutcome out = t.wait();
     // Evicted-and-recomputed or served from cache, the curve must always
     // be the predictor's exact answer.
-    predictor.predict_sweep(f.catalog[app].counters, f.catalog[app].measured_time_at_max_s,
-                            f.spec, service.default_frequencies(), ws);
+    sweep_one(predictor, f.catalog[app], f.spec, service.default_frequencies(), ws);
     expect_curves_bitwise_equal(out, ws);
     return out;
   };
@@ -287,9 +272,8 @@ TEST(ServeCache, ModelEpochBumpInvalidatesWholesale) {
   EXPECT_FALSE(out.cache_hit);
   EXPECT_EQ(out.model_epoch, 1u);
   const core::OnlinePredictor fresh(*swapped);
-  core::SweepWorkspace ws;
-  fresh.predict_sweep(f.catalog[0].counters, f.catalog[0].measured_time_at_max_s, f.spec,
-                      service.default_frequencies(), ws);
+  core::BatchSweepWorkspace ws;
+  sweep_one(fresh, f.catalog[0], f.spec, service.default_frequencies(), ws);
   expect_curves_bitwise_equal(out, ws);
 
   // And the new epoch caches normally.
@@ -309,13 +293,11 @@ TEST(ServeCache, EpochInvalidationRacesConcurrentHotSwap) {
   const auto models_b = fabricate_models(777);
   SweepService service(f.holder, f.spec);
 
-  core::SweepWorkspace ws_a, ws_b;
+  core::BatchSweepWorkspace ws_a, ws_b;
   const core::OnlinePredictor pred_a(*models_a);
   const core::OnlinePredictor pred_b(*models_b);
-  pred_a.predict_sweep(f.catalog[0].counters, f.catalog[0].measured_time_at_max_s, f.spec,
-                       service.default_frequencies(), ws_a);
-  pred_b.predict_sweep(f.catalog[0].counters, f.catalog[0].measured_time_at_max_s, f.spec,
-                       service.default_frequencies(), ws_b);
+  sweep_one(pred_a, f.catalog[0], f.spec, service.default_frequencies(), ws_a);
+  sweep_one(pred_b, f.catalog[0], f.spec, service.default_frequencies(), ws_b);
 
   std::thread publisher([&] {
     // Epoch e (starting from 1) carries models_b when odd, models_a when
@@ -330,7 +312,7 @@ TEST(ServeCache, EpochInvalidationRacesConcurrentHotSwap) {
     const SweepTicket t = service.submit(f.request(0));
     ASSERT_EQ(service.drain_once(), 1u);
     const SweepOutcome& out = t.wait();
-    const core::SweepWorkspace& expected = out.model_epoch % 2 == 1 ? ws_b : ws_a;
+    const core::BatchSweepWorkspace& expected = out.model_epoch % 2 == 1 ? ws_b : ws_a;
     ASSERT_EQ(out.energy_j.size(), expected.energy_j.size());
     for (std::size_t r = 0; r < expected.energy_j.size(); ++r) {
       ASSERT_EQ(bits(out.energy_j[r]), bits(expected.energy_j[r]))
@@ -341,63 +323,22 @@ TEST(ServeCache, EpochInvalidationRacesConcurrentHotSwap) {
   publisher.join();
 }
 
-TEST(ServeCache, QuantizedKeySharesRoundingCell) {
-  Fixture f;
-  ServiceConfig config;
-  config.cache.key_bits = 8;  // relative 2^-8 keying grid
-  SweepService service(f.holder, f.spec, config);
-
-  const SweepTicket cold = service.submit(f.request(0));
-  EXPECT_EQ(service.drain_once(), 1u);
-  const SweepOutcome& first = cold.wait();
-  EXPECT_FALSE(first.cache_hit);
-
-  // Nudge one counter by one ulp in whichever direction stays inside its
-  // 2^-8 rounding cell; the quantized key is unchanged, so this near-twin
-  // request must be served the first-seen member's curve.
-  SweepRequest near_twin = f.request(0);
-  const std::uint64_t b = bits(near_twin.counters.dram_active);
-  const std::uint64_t nudged =
-      core::SweepCurveCache::quantize_bits(b + 1, 8) == core::SweepCurveCache::quantize_bits(b, 8)
-          ? b + 1
-          : b - 1;
-  ASSERT_EQ(core::SweepCurveCache::quantize_bits(nudged, 8),
-            core::SweepCurveCache::quantize_bits(b, 8));
-  near_twin.counters.dram_active = std::bit_cast<double>(nudged);
-  const SweepTicket twin = service.submit(std::move(near_twin));
-  EXPECT_EQ(service.drain_once(), 1u);
-  const SweepOutcome& out = twin.wait();
-  EXPECT_TRUE(out.cache_hit);
-  ASSERT_EQ(out.energy_j.size(), first.energy_j.size());
-  for (std::size_t r = 0; r < first.energy_j.size(); ++r) {
-    EXPECT_EQ(bits(out.energy_j[r]), bits(first.energy_j[r]))
-        << "a cell-sharing hit must serve the first-seen curve verbatim";
-  }
-
-  // A 1% perturbation lands in a different cell: honest miss.
-  SweepRequest far = f.request(0);
-  far.counters.dram_active *= 1.01;
-  const SweepTicket miss = service.submit(std::move(far));
-  EXPECT_EQ(service.drain_once(), 1u);
-  EXPECT_FALSE(miss.wait().cache_hit);
-}
-
 TEST(ServeCache, ParallelShardedDrainMatchesSerialBitwise) {
   // The sharded drain partitions uncached unique items across per-shard
   // workspaces on the deterministic pool; because predict_sweep_batch is
   // row-local, every per-request curve must be bitwise identical to the
   // one-shard serial drain, for any batch size around and across the
-  // shard-grain boundaries.
-  set_num_threads(4);
+  // shard-grain boundaries. A service takes its shard count from the
+  // pool width at construction: build one at 1 thread, one at 4, and
+  // drain both at 4.
   Fixture f;
   f.catalog = make_catalog(100, f.spec, 7);
-  ServiceConfig serial_config;
-  serial_config.cache.sets = 0;  // isolate the sharding axis from memoization
-  serial_config.drain_shards = 1;
-  ServiceConfig sharded_config = serial_config;
-  sharded_config.drain_shards = 4;
-  SweepService serial(f.holder, f.spec, serial_config);
-  SweepService sharded(f.holder, f.spec, sharded_config);
+  ServiceConfig config;
+  config.cache.sets = 0;  // isolate the sharding axis from memoization
+  set_num_threads(1);
+  SweepService serial(f.holder, f.spec, config);
+  set_num_threads(4);
+  SweepService sharded(f.holder, f.spec, config);
 
   for (const std::size_t n : {std::size_t{1}, std::size_t{16}, std::size_t{61}, std::size_t{100}}) {
     std::vector<SweepTicket> a, b;

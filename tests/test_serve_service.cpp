@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -46,23 +47,23 @@ TEST(ServeService, BatchedOutcomeMatchesIndependentSweepBitwise) {
   EXPECT_EQ(service.pending(), 0u);
 
   const core::OnlinePredictor predictor(*f.models);
-  core::SweepWorkspace ws;
   for (std::size_t i = 0; i < 6; ++i) {
     const SweepOutcome& out = tickets[i].wait();
-    predictor.predict_sweep(f.catalog[i].counters, f.catalog[i].measured_time_at_max_s, f.spec,
-                            service.default_frequencies(), ws);
-    ASSERT_EQ(out.frequencies.size(), ws.frequencies.size());
-    for (std::size_t r = 0; r < ws.frequencies.size(); ++r) {
-      EXPECT_EQ(bits(out.frequencies[r]), bits(ws.frequencies[r]));
-      EXPECT_EQ(bits(out.power_w[r]), bits(ws.power_w[r]));
-      EXPECT_EQ(bits(out.time_s[r]), bits(ws.time_s[r]));
-      EXPECT_EQ(bits(out.energy_j[r]), bits(ws.energy_j[r]));
+    const core::DvfsProfile p = predictor.predict_from_features(
+        f.catalog[i].counters, f.catalog[i].measured_time_at_max_s, f.spec,
+        service.default_frequencies(), f.catalog[i].name);
+    ASSERT_EQ(out.frequencies.size(), p.size());
+    for (std::size_t r = 0; r < p.size(); ++r) {
+      EXPECT_EQ(bits(out.frequencies[r]), bits(p.frequency_mhz[r]));
+      EXPECT_EQ(bits(out.power_w[r]), bits(p.power_w[r]));
+      EXPECT_EQ(bits(out.time_s[r]), bits(p.time_s[r]));
+      EXPECT_EQ(bits(out.energy_j[r]), bits(p.energy_j[r]));
     }
     // The service's frequency pick is the energy argmin of the same curve.
     std::size_t best = 0;
-    for (std::size_t r = 1; r < ws.energy_j.size(); ++r)
-      if (ws.energy_j[r] < ws.energy_j[best]) best = r;
-    EXPECT_EQ(out.min_energy_frequency_mhz, ws.frequencies[best]);
+    for (std::size_t r = 1; r < p.size(); ++r)
+      if (p.energy_j[r] < p.energy_j[best]) best = r;
+    EXPECT_EQ(out.min_energy_frequency_mhz, p.frequency_mhz[best]);
     EXPECT_EQ(out.batch_size, 6u);
     EXPECT_EQ(out.model_epoch, 0u);
     EXPECT_FALSE(out.coalesced);  // six distinct applications
@@ -119,18 +120,6 @@ TEST(ServeService, CoalescesBitIdenticalRequests) {
       EXPECT_EQ(bits(out.energy_j[r]), bits(reference.energy_j[r]));
   }
   EXPECT_FALSE(other.wait().coalesced);
-}
-
-TEST(ServeService, CoalescingCanBeDisabled) {
-  Fixture f;
-  ServiceConfig config;
-  config.coalesce_identical = false;
-  SweepService service(f.holder, f.spec, config);
-  for (int i = 0; i < 4; ++i) (void)service.submit(f.request(0));
-  EXPECT_EQ(service.drain_once(), 4u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.unique_items, 4u);
-  EXPECT_EQ(stats.coalesced, 0u);
 }
 
 TEST(ServeService, PerRequestGridsAndDefaults) {
@@ -339,9 +328,50 @@ TEST(ServeService, ValidatesRequests) {
   bad_band.descriptor.band = kBandsPerCategory;
   EXPECT_THROW(service.submit(std::move(bad_band)), InvalidArgument);
 
+  // Non-finite input would throw inside the drain's finite checks, failing
+  // every request of that batch; submit rejects it instead. Every one of
+  // the 12 counters is checked.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using sim::CounterSet;
+  double CounterSet::*const counters[] = {
+      &CounterSet::fp64_active,   &CounterSet::fp32_active,      &CounterSet::sm_app_clock,
+      &CounterSet::dram_active,   &CounterSet::gr_engine_active, &CounterSet::gpu_utilization,
+      &CounterSet::power_usage,   &CounterSet::sm_active,        &CounterSet::sm_occupancy,
+      &CounterSet::pcie_tx_bytes, &CounterSet::pcie_rx_bytes,    &CounterSet::exec_time};
+  for (double CounterSet::*const field : counters) {
+    for (const double v : {nan, inf, -inf}) {
+      SweepRequest bad_counter = f.request(0);
+      bad_counter.counters.*field = v;
+      EXPECT_THROW(service.submit(std::move(bad_counter)), InvalidArgument);
+    }
+  }
+  for (const double t : {nan, inf}) {
+    SweepRequest bad = f.request(0);
+    bad.measured_time_at_max_s = t;
+    EXPECT_THROW(service.submit(std::move(bad)), InvalidArgument);
+  }
+  for (const double g : {nan, inf, 0.0, -900.0}) {
+    SweepRequest bad_grid = f.request(0);
+    bad_grid.frequencies = {510.0, g, 1410.0};
+    EXPECT_THROW(service.submit(std::move(bad_grid)), InvalidArgument);
+  }
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_EQ(service.stats().submitted, 0u);
+
+  // A rejected request leaves the service serving: a valid one after it
+  // drains and completes.
+  const SweepTicket ok = service.submit(f.request(0));
+  EXPECT_EQ(service.drain_once(), 1u);
+  EXPECT_EQ(ok.wait().energy_j.size(), f.spec.used_frequencies().size());
+
   ServiceConfig zero_batch;
   zero_batch.max_batch = 0;
   EXPECT_THROW(SweepService(f.holder, f.spec, zero_batch), InvalidArgument);
+
+  ServiceConfig nan_grid;
+  nan_grid.frequencies = {510.0, nan};
+  EXPECT_THROW(SweepService(f.holder, f.spec, nan_grid), InvalidArgument);
 }
 
 }  // namespace

@@ -80,11 +80,14 @@ TEST(ServeSnapshot, ConcurrentReadersSurviveHotSwaps) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       SnapshotCache cache;
-      core::SweepWorkspace ws;
+      core::BatchSweepWorkspace ws;
       for (int i = 0; i < kSweepsPerReader; ++i) {
         const core::OnlinePredictor& predictor = cache.predictor(holder);
         const CatalogEntry& app = catalog[static_cast<std::size_t>((r + i) % 4)];
-        predictor.predict_sweep(app.counters, app.measured_time_at_max_s, spec, grid, ws);
+        const core::BatchSweepItem item{.counters = &app.counters,
+                                        .measured_time_at_max_s = app.measured_time_at_max_s,
+                                        .frequencies = grid};
+        predictor.predict_sweep_batch({&item, 1}, spec, ws);
         for (const double e : ws.energy_j) ASSERT_GT(e, 0.0);
       }
     });
