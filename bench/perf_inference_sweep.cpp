@@ -1,8 +1,8 @@
 // End-to-end microbench of the online inference path: one full
 // 61-configuration DVFS sweep (power + time models) per iteration, per
-// kernel backend, plus network-level forward passes that
-// isolate where the time goes. tools/run_benchmarks.sh merges this into
-// BENCH_perf.json.
+// kernel backend, plus network-level forward passes and the sweep's
+// non-network share that isolate where the time goes.
+// tools/run_benchmarks.sh merges this into BENCH_perf.json.
 //
 // Benchmark arguments follow the shared axis in backend_axis.hpp: arg0 is
 // the kernel backend (0 = scalar, 1 = avx2, 2 = avx512); rows whose
@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <utility>
 
 #include "backend_axis.hpp"
 #include "common.hpp"
@@ -38,13 +39,11 @@ nn::Matrix random_batch(std::size_t rows, std::size_t cols) {
 }
 
 // Forward pass of the paper architecture (3 -> 64 SELU x3 -> 1 linear)
-// over the sweep batch; second argument: 0 = unfused fallback, 1 = fused
-// over packed weights.
+// over the sweep batch: the fused kernel over packed weights, the only
+// inference body.
 void BM_NetworkForward(benchmark::State& state) {
   if (!bench::select_backend(state)) return;
-  nn::Network net(3, nn::Network::paper_architecture(), /*seed=*/123);
-  const bool fused = state.range(1) != 0;
-  if (fused) net.prepare_inference();
+  const nn::Network net(3, nn::Network::paper_architecture(), /*seed=*/123);
   const nn::Matrix x = random_batch(kSweepRows, 3);
   nn::InferenceWorkspace ws;
   for (auto _ : state) {
@@ -53,22 +52,15 @@ void BM_NetworkForward(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.counters["rows"] = static_cast<double>(kSweepRows);
-  state.counters["fused"] = fused ? 1.0 : 0.0;
   bench::reset_backend();
 }
-BENCHMARK(BM_NetworkForward)
-    ->ArgPair(0, 0)->ArgPair(0, 1)
-    ->ArgPair(1, 0)->ArgPair(1, 1)
-    ->ArgPair(2, 0)->ArgPair(2, 1)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_NetworkForward)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
-// The full online sweep as a one-item predict_sweep_batch: feature
-// replication + both models + clamps, reusing one workspace: the
-// 61-config sweep latency.
-void BM_SweepPredict(benchmark::State& state) {
-  if (!bench::select_backend(state)) return;
+// One-item predict_sweep_batch of lammps over the 61 used clocks,
+// reusing one workspace.
+void run_sweeps(benchmark::State& state, const core::PowerTimeModels& models) {
   static sim::GpuDevice gpu = bench::make_ga100();
-  const core::OnlinePredictor predictor(sweep_models());
+  const core::OnlinePredictor predictor(models);
 
   gpu.reset_clocks();
   sim::RunOptions ro;
@@ -86,11 +78,45 @@ void BM_SweepPredict(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.counters["configs"] = static_cast<double>(freqs.size());
+}
+
+// The full online sweep: feature replication + both models + clamps, the
+// 61-config sweep latency.
+void BM_SweepPredict(benchmark::State& state) {
+  if (!bench::select_backend(state)) return;
+  run_sweeps(state, sweep_models());
   bench::reset_backend();
 }
 BENCHMARK(BM_SweepPredict)
     ->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
+
+// The sweep's non-network share: the same sweep — grid sort, feature
+// extraction, both scalers, clamps and energy — with each 3 -> 64x3 -> 1
+// network swapped for a single 3 -> 1 linear layer (3 MACs a row). The
+// paper models' scalers are kept, so every non-network step costs what it
+// does in the real sweep; BM_SweepPredict minus this row is the networks'
+// share.
+void BM_SweepNonNetwork(benchmark::State& state) {
+  if (!bench::select_backend(state)) return;
+  static const core::PowerTimeModels models = [] {
+    core::PowerTimeModels m;
+    m.features = sweep_models().features;
+    const auto linear = [&](const core::DnnModel& src, core::Target target) {
+      nn::ModelBundle bundle = src.bundle();
+      bundle.network = nn::Network(m.features.dim(), {{1, nn::Activation::kLinear}}, 5);
+      core::DnnModel out;
+      out.restore(std::move(bundle), target);
+      return out;
+    };
+    m.power = linear(sweep_models().power, core::Target::kPower);
+    m.time = linear(sweep_models().time, core::Target::kTime);
+    return m;
+  }();
+  run_sweeps(state, models);
+  bench::reset_backend();
+}
+BENCHMARK(BM_SweepNonNetwork)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

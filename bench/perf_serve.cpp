@@ -77,12 +77,13 @@ void BM_SequentialSweeps(benchmark::State& state) {
 }
 BENCHMARK(BM_SequentialSweeps)
     ->Args({1, 1})->Args({1, 16})->Args({1, 61})->Args({1, 100})
-    ->Args({0, 16})->Args({2, 100})
+    ->Args({0, 16})->Args({2, 16})->Args({2, 61})->Args({2, 100})
     ->Unit(benchmark::kMicrosecond);
 
-// The fused path on the same N unique requests: one predict_sweep_batch,
-// i.e. one GEMM chain per model over N x 61 rows. Measures pure fusion
-// (dispatch/scaler/finite-check amortization) with zero coalescing.
+// The batched path on the same N unique requests: one predict_sweep_batch
+// over N x 61 rows, walked depth-first in 48-row blocks through both
+// models. Measures what batching saves (per-call checks, sorting setup,
+// dispatch) with zero coalescing.
 void BM_BatchedSweepUnique(benchmark::State& state) {
   if (!bench::select_backend(state)) return;
   const core::OnlinePredictor predictor(shared_models());
@@ -112,7 +113,7 @@ void BM_BatchedSweepUnique(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedSweepUnique)
     ->Args({1, 1})->Args({1, 16})->Args({1, 61})->Args({1, 100})
-    ->Args({0, 16})->Args({2, 100})
+    ->Args({0, 16})->Args({2, 16})->Args({2, 61})->Args({2, 100})
     ->Unit(benchmark::kMicrosecond);
 
 // The full service drain cycle under a fleet mix: N requests per batch

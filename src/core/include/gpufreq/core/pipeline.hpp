@@ -58,13 +58,20 @@ struct BatchSweepItem {
   std::span<const double> frequencies;
 };
 
+/// Rows per depth-first block of OnlinePredictor::predict_sweep_batch: a
+/// block's feature rows go through both models before the next block is
+/// extracted. A multiple of both register-tile heights (6 and 8 rows).
+inline constexpr std::size_t kSweepBlockRows = 48;
+
 /// Reusable scratch + results for OnlinePredictor::predict_sweep_batch.
 /// All per-config arrays are concatenated item-major; `offsets` maps item
 /// i to its row range [offsets[i], offsets[i+1]). Holds everything a sweep
-/// touches — the sorted grids, the shared feature matrix both models read,
-/// per-model inference scratch and the output curves — so a warmed-up
-/// instance serves any batch at or below its high-water mark without a
-/// single heap allocation. One per thread.
+/// touches — the sorted grids, one block's feature matrix both models
+/// read, per-model inference scratch and the output curves — so a
+/// warmed-up instance serves any batch at or below its high-water mark
+/// without a single heap allocation. The feature matrix and the model
+/// scratch hold at most kSweepBlockRows rows whatever the batch size; only
+/// the per-row output vectors grow with it. One per thread.
 struct BatchSweepWorkspace {
   std::vector<std::size_t> offsets;  ///< item -> first row (size items+1)
   std::vector<double> frequencies;   ///< per-item sorted grids, concatenated
@@ -72,7 +79,7 @@ struct BatchSweepWorkspace {
   std::vector<double> time_s;
   std::vector<double> energy_j;
 
-  nn::Matrix features;               ///< total_rows x feature_dim
+  nn::Matrix features;               ///< current block: <= kSweepBlockRows x feature_dim
   DnnModel::Workspace power_model;
   DnnModel::Workspace time_model;
 
@@ -120,13 +127,14 @@ class OnlinePredictor {
                                     const std::vector<double>& frequencies,
                                     const std::string& workload_name) const;
 
-  /// The online sweep, allocation-free: sorts each item's frequencies into
-  /// its slice of ws.frequencies, builds one shared feature matrix, runs
-  /// both models through the fused inference path, and leaves the clamped
-  /// power/time/energy curves in ws. The feature rows of every item are
-  /// stacked into ONE matrix and each model runs a single fused GEMM chain
-  /// over it, amortizing kernel dispatch, scaler transforms, finite checks,
-  /// and weight-panel cache traffic across the whole batch. Every per-row
+  /// The online sweep, allocation-free and serial: sorts each item's
+  /// frequencies into its slice of ws.frequencies, then walks the
+  /// concatenated rows of all items depth-first in blocks of
+  /// kSweepBlockRows — extract the block's feature rows, run the power
+  /// model, then the time model, on that block — and leaves the clamped
+  /// power/time/energy curves in ws. A block's activations stay in L1
+  /// across every layer of both nets. Parallelism belongs to the caller,
+  /// at request granularity (the service's drain shards). Every per-row
   /// computation (feature extraction, both models, clamps) is row-local in
   /// the kernel contract, so each item's slice of the result is bitwise
   /// identical to a one-item batch of that item. Items may carry ragged
@@ -137,6 +145,8 @@ class OnlinePredictor {
 
   /// Pre-grow `ws` for batches of up to `max_items` items and `max_rows`
   /// total configurations, so the first drain is already allocation-free.
+  /// `max_rows` sizes only the per-row output vectors; the block scratch
+  /// is kSweepBlockRows rows.
   void reserve_batch_workspace(BatchSweepWorkspace& ws, std::size_t max_items,
                                std::size_t max_rows) const;
 

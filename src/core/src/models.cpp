@@ -46,10 +46,8 @@ nn::TrainHistory DnnModel::train(const Dataset& dataset, Target target,
   tc.shuffle_seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
 
   const nn::Trainer trainer(tc);
+  // fit() leaves the final weights packed for the fused inference kernel.
   const nn::TrainHistory history = trainer.fit(bundle_.network, x, y);
-  // Weights are final: pack them for the fused inference kernel while the
-  // model is still exclusively owned by this thread.
-  bundle_.network.prepare_inference();
   trained_ = true;
   return history;
 }

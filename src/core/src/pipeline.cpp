@@ -6,7 +6,6 @@
 #include "gpufreq/util/hot_path.hpp"
 #include "gpufreq/util/logging.hpp"
 #include "gpufreq/util/sort.hpp"
-#include "gpufreq/util/thread_pool.hpp"
 #include "gpufreq/util/workspace.hpp"
 
 namespace gpufreq::core {
@@ -152,35 +151,32 @@ void OnlinePredictor::predict_sweep_batch(std::span<const BatchSweepItem> items,
     detail::bounded_sort(seg, seg + items[i].frequencies.size());
   }
 
-  // Replicate each item's (frequency-invariant) features across its grid
-  // with only the clock feature swapped — the paper's key data-reduction
-  // idea — into one shared feature matrix for the whole batch. Rows are
-  // disjoint and each depends only on (its item's counters, its own
-  // frequency), so the flat parallel partition is output-order independent
-  // and per-row bitwise identical for any batch composition.
-  ws.features.resize_uninit(total, models_.features.dim());
-  parallel_for(0, total, 8, [&](std::size_t lo, std::size_t hi) {
-    std::size_t item =
-        static_cast<std::size_t>(std::upper_bound(ws.offsets.begin(), ws.offsets.end(), lo) -
-                                 ws.offsets.begin()) -
-        1;
-    sim::CounterSet c = *items[item].counters;
-    for (std::size_t i = lo; i < hi; ++i) {
-      while (i >= ws.offsets[item + 1]) {
-        ++item;
-        c = *items[item].counters;
-      }
-      c.sm_app_clock = ws.frequencies[i];
-      feature_plan_.extract_into(c, ws.features.row(i));
-    }
-  });
-
   detail::workspace_resize(ws.power_w, total);
   detail::workspace_resize(ws.time_s, total);
   detail::workspace_resize(ws.energy_j, total);
-  // The fused N-item GEMM chain: one predict per model over all rows.
-  models_.power.predict_into(ws.features, ws.power_model, ws.power_w);
-  models_.time.predict_into(ws.features, ws.time_model, ws.time_s);
+
+  // Depth-first over the concatenated rows: each block of kSweepBlockRows
+  // rows gets its feature rows, then goes through the power model and
+  // then the time model, before the next block starts. The feature rows
+  // replicate each item's (frequency-invariant) features across its grid
+  // with only the clock feature swapped — the paper's key data-reduction
+  // idea. Every row depends only on (its item's counters, its own
+  // frequency) and every kernel is row-local, so each item's slice is
+  // bitwise identical for any batch composition and block boundary.
+  const std::size_t dim = models_.features.dim();
+  std::size_t item = 0;
+  sim::CounterSet c = *items[0].counters;
+  for (std::size_t lo = 0; lo < total; lo += kSweepBlockRows) {
+    const std::size_t n = std::min(kSweepBlockRows, total - lo);
+    ws.features.resize_uninit(n, dim);
+    for (std::size_t r = 0; r < n; ++r) {
+      while (lo + r >= ws.offsets[item + 1]) c = *items[++item].counters;
+      c.sm_app_clock = ws.frequencies[lo + r];
+      feature_plan_.extract_into(c, ws.features.row(r));
+    }
+    models_.power.predict_into(ws.features, ws.power_model, {ws.power_w.data() + lo, n});
+    models_.time.predict_into(ws.features, ws.time_model, {ws.time_s.data() + lo, n});
+  }
   // A NaN here means poisoned weights or features; fail before it turns
   // into a silently wrong "optimal" frequency downstream.
   GPUFREQ_CHECK_FINITE(ws.power_w);
@@ -206,9 +202,9 @@ void OnlinePredictor::reserve_batch_workspace(BatchSweepWorkspace& ws, std::size
   ws.power_w.reserve(max_rows);
   ws.time_s.reserve(max_rows);
   ws.energy_j.reserve(max_rows);
-  ws.features.reserve(max_rows, models_.features.dim());
-  models_.power.reserve_workspace(ws.power_model, max_rows);
-  models_.time.reserve_workspace(ws.time_model, max_rows);
+  ws.features.reserve(kSweepBlockRows, models_.features.dim());
+  models_.power.reserve_workspace(ws.power_model, kSweepBlockRows);
+  models_.time.reserve_workspace(ws.time_model, kSweepBlockRows);
 }
 
 }  // namespace gpufreq::core

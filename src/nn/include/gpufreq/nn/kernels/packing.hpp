@@ -20,7 +20,8 @@ inline constexpr std::size_t kPanelWidth = 16;
 /// then streams each panel sequentially instead of striding by the layer
 /// width. Packing is done once per loaded/trained model
 /// (Network::prepare_inference); mutating the weights afterwards
-/// invalidates the pack (DenseLayer clears it on every gradient update).
+/// invalidates the pack (DenseLayer clears it on every gradient update
+/// and on mutable weights()/bias() access).
 class PackedWeights {
  public:
   PackedWeights() = default;

@@ -20,9 +20,17 @@ class DenseLayer {
   std::size_t out_dim() const { return w_.cols(); }
   Activation activation() const { return act_; }
 
-  Matrix& weights() { return w_; }
+  /// Mutable access marks the inference pack stale: call
+  /// prepare_inference() again before the next forward_inference.
+  Matrix& weights() {
+    packed_.clear();
+    return w_;
+  }
   const Matrix& weights() const { return w_; }
-  std::vector<float>& bias() { return b_; }
+  std::vector<float>& bias() {
+    packed_.clear();
+    return b_;
+  }
   const std::vector<float>& bias() const { return b_; }
 
   /// LeCun-normal init (recommended for SELU).
@@ -36,18 +44,17 @@ class DenseLayer {
   /// backward() — Network::train_step guarantees this for its batch.
   void forward(const Matrix& x, Matrix& out);
 
-  /// Inference-only forward (no caching). When the layer is prepared
-  /// (prepare_inference), this runs the fused dense_bias_act kernel over
-  /// the packed weights — bias add and activation happen in the GEMM
-  /// epilogue and `out` is the only matrix written. Otherwise it falls
-  /// back to gemm + bias + in-place activation using `out` as the only
-  /// scratch.
+  /// Inference-only forward (no caching): one serial call of the fused
+  /// dense_bias_act kernel over the packed weights and every row of `x`.
+  /// Bias add and activation happen in the GEMM epilogue and `out` is the
+  /// only matrix written. Callers parallelize across requests, never
+  /// inside one. Throws InvalidArgument when the pack is stale.
   void forward_inference(const Matrix& x, Matrix& out) const;
 
   /// Pack the weights for the fused inference kernel. Call after the
-  /// weights settle (end of training / deserialization / any external
-  /// mutation through weights()); gradient updates and re-initialization
-  /// invalidate the pack automatically.
+  /// weights settle; Network's constructor, Trainer::fit and
+  /// deserialization do. Gradient updates, re-initialization and the
+  /// mutable weights()/bias() accessors invalidate the pack.
   void prepare_inference();
 
   /// True when the packed weights are current.

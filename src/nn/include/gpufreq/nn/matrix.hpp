@@ -19,6 +19,8 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t size() const { return data_.size(); }
+  /// Elements the matrix holds without reallocating (its high-water mark).
+  std::size_t capacity() const { return data_.capacity(); }
   bool empty() const { return data_.empty(); }
 
   float& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }

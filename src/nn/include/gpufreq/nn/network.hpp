@@ -25,6 +25,9 @@ class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
 
+  /// Floats both buffers hold without reallocating.
+  std::size_t capacity() const { return bufs_[0].capacity() + bufs_[1].capacity(); }
+
  private:
   friend class Network;
   Matrix bufs_[2];
@@ -35,7 +38,8 @@ class InferenceWorkspace {
 /// units plus a linear output — is available via `paper_architecture()`.
 class Network {
  public:
-  /// Build a network; weights are LeCun-normal initialized from `seed`.
+  /// Build a network; weights are LeCun-normal initialized from `seed`
+  /// and packed for inference.
   Network(std::size_t input_dim, const std::vector<LayerSpec>& layers, std::uint64_t seed);
 
   /// Uninitialized network (deserialization only).
@@ -77,9 +81,9 @@ class Network {
   void reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const;
 
   /// Pack every layer's weights for the fused inference kernel.
-  /// Idempotent; training steps and weight re-initialization invalidate
-  /// the packs (the layers then fall back to the unfused path until
-  /// re-prepared).
+  /// Idempotent. The constructor packs; training steps and mutable
+  /// weight access invalidate the packs, and inference on a stale pack
+  /// throws InvalidArgument until this is called again.
   void prepare_inference();
 
   /// True when every layer's fused-inference pack is current.

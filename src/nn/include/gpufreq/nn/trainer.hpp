@@ -43,7 +43,8 @@ class Trainer {
   const TrainConfig& config() const { return config_; }
 
   /// Fit `net` on (x, y). Rows are shuffled once to form the split, then
-  /// (optionally) every epoch for batching. Returns the loss history.
+  /// (optionally) every epoch for batching. Returns the loss history and
+  /// leaves `net` packed for inference (Network::prepare_inference).
   TrainHistory fit(Network& net, const Matrix& x, const Matrix& y) const;
 
  private:

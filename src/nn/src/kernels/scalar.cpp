@@ -32,11 +32,10 @@ static_assert(kNr == kPanelWidth, "packed panels must match the GEMM tile width"
 // FMA chains, enough to hide the 4-cycle FMA latency.
 typedef float v8sf __attribute__((vector_size(8 * sizeof(float))));
 
-inline v8sf load8(const float* p) {
-  v8sf v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
+// Loads through an out-parameter: returning a 32-byte vector by value
+// changes the calling convention between builds with and without AVX
+// (gcc -Wpsabi), and this TU is built for both.
+inline void load8(v8sf& v, const float* p) { __builtin_memcpy(&v, p, sizeof(v)); }
 
 // Continue the kMr x kNr tile's accumulation chains held in `acc`
 // (row-major kMr x kNr floats, read and then overwritten) over k more
@@ -45,13 +44,23 @@ inline v8sf load8(const float* p) {
 // p-ascending multiply-add chain exactly as one call over all of k.
 inline void tile_accumulate(const float* a, std::size_t lda, const float* b, std::size_t ldb,
                             std::size_t k, float* acc) {
-  v8sf a0l = load8(acc + 0), a0h = load8(acc + 8), a1l = load8(acc + 16);
-  v8sf a1h = load8(acc + 24), a2l = load8(acc + 32), a2h = load8(acc + 40);
-  v8sf a3l = load8(acc + 48), a3h = load8(acc + 56), a4l = load8(acc + 64);
-  v8sf a4h = load8(acc + 72), a5l = load8(acc + 80), a5h = load8(acc + 88);
+  v8sf a0l, a0h, a1l, a1h, a2l, a2h, a3l, a3h, a4l, a4h, a5l, a5h;
+  load8(a0l, acc + 0);
+  load8(a0h, acc + 8);
+  load8(a1l, acc + 16);
+  load8(a1h, acc + 24);
+  load8(a2l, acc + 32);
+  load8(a2h, acc + 40);
+  load8(a3l, acc + 48);
+  load8(a3h, acc + 56);
+  load8(a4l, acc + 64);
+  load8(a4h, acc + 72);
+  load8(a5l, acc + 80);
+  load8(a5h, acc + 88);
   for (std::size_t p = 0; p < k; ++p) {
-    const v8sf bl = load8(b + p * ldb);
-    const v8sf bh = load8(b + p * ldb + 8);
+    v8sf bl, bh;
+    load8(bl, b + p * ldb);
+    load8(bh, b + p * ldb + 8);
     float x;
     x = a[0 * lda + p]; a0l += x * bl; a0h += x * bh;
     x = a[1 * lda + p]; a1l += x * bl; a1h += x * bh;

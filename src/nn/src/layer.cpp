@@ -3,7 +3,6 @@
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
-#include "gpufreq/util/thread_pool.hpp"
 
 namespace gpufreq::nn {
 
@@ -36,26 +35,15 @@ void DenseLayer::forward(const Matrix& x, Matrix& out) {
 void DenseLayer::forward_inference(const Matrix& x, Matrix& out) const {
   GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_inference");
   GPUFREQ_REQUIRE(x.cols() == w_.rows(), "DenseLayer::forward_inference: width mismatch");
-  if (packed_.empty()) {
-    // Unfused fallback: `out` doubles as the Z buffer (gemm output, bias
-    // add, then in-place activation), so even this path allocates nothing
-    // beyond `out` itself.
-    gemm(x, w_, out);
-    add_row_vector(out, b_);
-    activate(act_, out.flat(), out.flat());
-    return;
-  }
+  GPUFREQ_REQUIRE(!packed_.empty(),
+                  "DenseLayer::forward_inference: weights not packed (call prepare_inference)");
   out.resize_uninit(x.rows(), w_.cols());
   if (x.rows() == 0) return;
-  const kernels::KernelTable& kt = kernels::active();
-  const float* X = x.flat().data();
-  const float* bias = b_.data();
-  float* Y = out.flat().data();
-  // Same 48-row grain as gemm: chunk boundaries depend only on the batch
-  // size, so the fused path is bitwise-stable across thread counts too.
-  parallel_for(0, x.rows(), 48, [&](std::size_t lo, std::size_t hi) {
-    kt.dense_bias_act(X, packed_, bias, act_, Y, lo, hi);
-  });
+  // Serial: every row is computed independently of the rows around it, so
+  // the result does not depend on the thread count or on how callers
+  // block their rows.
+  kernels::active().dense_bias_act(x.flat().data(), packed_, b_.data(), act_,
+                                   out.flat().data(), 0, x.rows());
   GPUFREQ_DCHECK_FINITE(out);
 }
 

@@ -18,6 +18,7 @@ Network::Network(std::size_t input_dim, const std::vector<LayerSpec>& layers,
     layers_.back().init_lecun_normal(rng);
     in = spec.units;
   }
+  prepare_inference();
 }
 
 std::size_t Network::input_dim() const {

@@ -111,6 +111,7 @@ TrainHistory Trainer::fit(Network& net, const Matrix& x, const Matrix& y) const 
 
     double val_loss = epoch_loss;
     if (n_val > 0) {
+      net.prepare_inference();  // the epoch's updates left the packs stale
       val_loss = net.evaluate(x_val, y_val, config_.loss);
       GPUFREQ_CHECK_FINITE(val_loss);
     }
@@ -132,6 +133,8 @@ TrainHistory Trainer::fit(Network& net, const Matrix& x, const Matrix& y) const 
     }
   }
 
+  // The weights are final: leave the network ready for inference.
+  net.prepare_inference();
   history.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return history;

@@ -55,8 +55,9 @@ struct ServiceStats {
 /// SweepRequests tagged with a WorkloadDescriptor; a drain (the background
 /// worker started by start(), or explicit drain_once() calls) pops up to
 /// max_batch requests in strict priority order, fuses them into one
-/// N-item x per-item-grid batched sweep (single GEMM chain per model via
-/// OnlinePredictor::predict_sweep_batch), and publishes per-request
+/// N-item x per-item-grid batched sweep (OnlinePredictor::
+/// predict_sweep_batch, 48-row blocks through both models, sharded across
+/// the pool), and publishes per-request
 /// outcomes that are bitwise identical to N independent
 /// OnlinePredictor::predict_from_features calls. Models are read through
 /// an epoch-cached snapshot, so a publish() on the ModelSnapshotHolder

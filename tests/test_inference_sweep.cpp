@@ -13,6 +13,7 @@
 #include <new>
 #include <vector>
 
+#include "gpufreq/core/evaluation.hpp"
 #include "gpufreq/core/model_cache.hpp"
 #include "gpufreq/core/pipeline.hpp"
 #include "gpufreq/nn/kernels/dispatch.hpp"
@@ -245,6 +246,54 @@ TEST(InferenceSweep, PaperModelsSweepIsBitwiseAcrossBackends) {
                              << nn::kernels::to_string(backends[0]) << ": " << differing << " of "
                              << curves[0].size() << " values differ";
   }
+}
+
+// Golden of Table 4: the 24 frequency picks (M-ED2P, P-ED2P, M-EDP,
+// P-EDP for the six evaluation apps) of the committed paper models, as
+// bench/table4_optimal_frequencies prints them and EXPERIMENTS.md quotes
+// them. The measured picks pin the simulator, the predicted ones pin the
+// sweep. Checked on every backend whose fp32 arithmetic is comparable
+// (the scalar one only when this TU has __FMA__, as above).
+TEST(InferenceSweep, PaperModelsTable4PicksMatchGolden) {
+  using nn::kernels::Backend;
+  std::vector<Backend> backends;
+#if defined(__FMA__)
+  backends.push_back(Backend::kScalar);
+#endif
+  if (nn::kernels::avx2_available()) backends.push_back(Backend::kAvx2);
+  if (nn::kernels::avx512_available()) backends.push_back(Backend::kAvx512);
+  if (backends.empty()) GTEST_SKIP() << "no kernel backend with fused multiply-add";
+
+  struct Picks {
+    const char* app;
+    double m_ed2p, p_ed2p, m_edp, p_edp;
+  };
+  const std::vector<Picks> golden = {
+      {"lammps", 1110, 1035, 1110, 1020}, {"namd", 1155, 1005, 990, 990},
+      {"gromacs", 960, 1005, 915, 930},   {"lstm", 1080, 1020, 795, 720},
+      {"bert", 1200, 1125, 1050, 1020},   {"resnet50", 1350, 1410, 1170, 1140},
+  };
+
+  const PowerTimeModels models = load_models(GPUFREQ_PAPER_MODELS);
+  for (const Backend b : backends) {
+    SCOPED_TRACE(nn::kernels::to_string(b));
+    nn::kernels::set_kernel_backend(b);
+    // The device seed of the bench tables (bench/common.hpp kGa100Seed).
+    sim::GpuDevice gpu(sim::GpuSpec::ga100(), 0xA100'5EEDULL);
+    const std::vector<AppEvaluation> evals =
+        evaluate_suite(models, gpu, workloads::evaluation_set(), {}, /*measure_runs=*/3);
+    ASSERT_EQ(evals.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+      const Picks& g = golden[i];
+      const AppEvaluation& ev = evals[i];
+      ASSERT_EQ(ev.app, g.app);
+      EXPECT_EQ(ev.m_ed2p.frequency_mhz, g.m_ed2p) << g.app << " M-ED2P";
+      EXPECT_EQ(ev.p_ed2p.frequency_mhz, g.p_ed2p) << g.app << " P-ED2P";
+      EXPECT_EQ(ev.m_edp.frequency_mhz, g.m_edp) << g.app << " M-EDP";
+      EXPECT_EQ(ev.p_edp.frequency_mhz, g.p_edp) << g.app << " P-EDP";
+    }
+  }
+  nn::kernels::set_kernel_backend(Backend::kAuto);
 }
 
 }  // namespace

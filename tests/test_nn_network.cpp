@@ -98,8 +98,12 @@ TEST(Network, GradientsMatchFiniteDifferences) {
   Sgd probe(1e-9);
   net.bind_optimizer(probe);
 
-  // Loss functional for finite differences.
-  auto loss_at = [&](Network& n) { return n.evaluate(x, y, Loss::kMse); };
+  // Loss functional for finite differences. The weights are mutated
+  // through the non-const accessor, so re-pack before every evaluation.
+  auto loss_at = [&](Network& n) {
+    n.prepare_inference();
+    return n.evaluate(x, y, Loss::kMse);
+  };
 
   // Perturb a handful of weights in each layer and compare the directional
   // derivative with backprop's gradient, recovered from the parameter
@@ -147,6 +151,7 @@ TEST(Network, TrainingReducesLossOnSmoothFunction) {
   net.bind_optimizer(opt);
   const double before = net.evaluate(x, y, Loss::kMse);
   for (int epoch = 0; epoch < 120; ++epoch) net.train_step(x, y, Loss::kMse, opt);
+  net.prepare_inference();  // train_step leaves the packs stale
   const double after = net.evaluate(x, y, Loss::kMse);
   EXPECT_LT(after, 0.2 * before);
 }
@@ -157,6 +162,41 @@ TEST(Network, TrainStepRejectsMismatchedBatch) {
   net.bind_optimizer(opt);
   Matrix x(3, 2), y(2, 1);
   EXPECT_THROW(net.train_step(x, y, Loss::kMse, opt), InvalidArgument);
+}
+
+TEST(Network, UnpackedLayerInferenceThrows) {
+  DenseLayer layer(3, 4, Activation::kSelu);
+  ASSERT_FALSE(layer.inference_prepared());
+  Matrix x(2, 3, 0.5f), y;
+  EXPECT_THROW(layer.forward_inference(x, y), InvalidArgument);
+  layer.prepare_inference();
+  layer.forward_inference(x, y);
+  EXPECT_EQ(y.rows(), 2u);
+  EXPECT_EQ(y.cols(), 4u);
+}
+
+// The constructor packs; mutable weight or bias access marks the pack
+// stale, and inference refuses to run until it is packed again.
+TEST(Network, WeightChangeRequiresPrepareInference) {
+  Network net(2, {{8, Activation::kSelu}, {1, Activation::kLinear}}, 11);
+  ASSERT_TRUE(net.inference_prepared());
+  Rng rng(5);
+  const Matrix x = make_inputs(4, 2, rng);
+  const Matrix before = net.predict(x);
+
+  // One gradient-style update of a weight through the mutable accessor.
+  net.layer(0).weights()(0, 0) -= 0.25f;
+  EXPECT_FALSE(net.inference_prepared());
+  EXPECT_THROW(net.predict(x), InvalidArgument);
+  net.prepare_inference();
+  const Matrix after = net.predict(x);
+  EXPECT_NE(before(0, 0), after(0, 0));
+
+  net.layer(1).bias()[0] += 1.0f;
+  EXPECT_FALSE(net.inference_prepared());
+  EXPECT_THROW(net.predict(x), InvalidArgument);
+  net.prepare_inference();
+  EXPECT_NEAR(net.predict(x)(0, 0), after(0, 0) + 1.0f, 1e-4f);
 }
 
 TEST(Network, EmptyNetworkGuards) {

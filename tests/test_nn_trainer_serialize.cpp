@@ -105,6 +105,19 @@ TEST(Trainer, HistoryHasOneEntryPerEpoch) {
   EXPECT_GT(h.wall_seconds, 0.0);
 }
 
+// fit() re-packs before every validation pass and after the last epoch,
+// so the trained network goes straight to inference.
+TEST(Trainer, FitLeavesNetworkPackedForInference) {
+  auto [x, y] = synth_regression(200, 3);
+  Network net(2, {{16, Activation::kSelu}, {1, Activation::kLinear}}, 5);
+  TrainConfig c;
+  c.epochs = 3;
+  c.validation_split = 0.0;  // no validation pass re-packs mid-fit
+  (void)Trainer(c).fit(net, x, y);
+  EXPECT_TRUE(net.inference_prepared());
+  EXPECT_EQ(net.predict(x).rows(), x.rows());
+}
+
 TEST(Trainer, LossDecreasesSubstantially) {
   auto [x, y] = synth_regression(600, 4);
   Network net(2, {{24, Activation::kSelu}, {24, Activation::kSelu}, {1, Activation::kLinear}},

@@ -5,6 +5,7 @@
 // tenant's answer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "gpufreq/serve/load_generator.hpp"
 #include "gpufreq/sim/gpu_spec.hpp"
 #include "gpufreq/util/error.hpp"
+#include "gpufreq/util/thread_pool.hpp"
 
 namespace gpufreq::serve {
 namespace {
@@ -80,6 +82,79 @@ TEST(ServeBatch, TwoItemsMatchSequential) { expect_batch_matches_sequential(2); 
 TEST(ServeBatch, SixteenItemsMatchSequential) { expect_batch_matches_sequential(16); }
 TEST(ServeBatch, SixtyOneItemsMatchSequential) { expect_batch_matches_sequential(61); }
 TEST(ServeBatch, HundredItemsMatchSequential) { expect_batch_matches_sequential(100); }
+
+// Item lengths around the kSweepBlockRows = 48 block edge: the 303
+// concatenated rows cut items 3, 4 and 5 across block boundaries, item 2
+// fills a block exactly and item 0 is a single row. The grids are not the
+// device's clocks, so 97 distinct points fit; odd items arrive descending.
+TEST(ServeBatch, BlockStraddlingRaggedBatchMatchesSequential) {
+  Fixture f;
+  const std::vector<std::size_t> lengths = {1, 47, 48, 49, 61, 97};
+  std::vector<std::vector<double>> grids;
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    std::vector<double> g;
+    for (std::size_t r = 0; r < lengths[i]; ++r)
+      g.push_back(1410.0 - 12.5 * static_cast<double>(r) - static_cast<double>(i));
+    if (i % 2 == 0) std::reverse(g.begin(), g.end());
+    grids.push_back(std::move(g));
+  }
+  std::vector<core::BatchSweepItem> items;
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    const CatalogEntry& app = f.catalog[(5 * i) % f.catalog.size()];
+    items.push_back({.counters = &app.counters,
+                     .measured_time_at_max_s = app.measured_time_at_max_s,
+                     .frequencies = grids[i]});
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    set_num_threads(threads);
+    core::BatchSweepWorkspace ws;
+    f.predictor.predict_sweep_batch(items, f.spec, ws);
+    ASSERT_EQ(ws.items(), lengths.size());
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+      const core::DvfsProfile p = f.predictor.predict_from_features(
+          *items[i].counters, items[i].measured_time_at_max_s, f.spec, grids[i], "item");
+      ASSERT_EQ(ws.rows(i), lengths[i]) << "item " << i;
+      const auto power = ws.item_power(i);
+      const auto time = ws.item_time(i);
+      const auto energy = ws.item_energy(i);
+      for (std::size_t r = 0; r < p.size(); ++r) {
+        EXPECT_EQ(bits(power[r]), bits(p.power_w[r])) << "item " << i << " row " << r;
+        EXPECT_EQ(bits(time[r]), bits(p.time_s[r])) << "item " << i << " row " << r;
+        EXPECT_EQ(bits(energy[r]), bits(p.energy_j[r])) << "item " << i << " row " << r;
+      }
+    }
+  }
+  set_num_threads(0);
+}
+
+// The depth-first sweep keeps its feature matrix and both models' scratch
+// at one block whatever the batch size; only the output curves grow.
+TEST(ServeBatch, BlockScratchStaysBoundedForLargeBatches) {
+  Fixture f;
+  const std::vector<double> grid = f.spec.used_frequencies();
+  std::vector<core::BatchSweepItem> items;
+  for (std::size_t i = 0; i < 128; ++i) {
+    const CatalogEntry& app = f.catalog[i % f.catalog.size()];
+    items.push_back({.counters = &app.counters,
+                     .measured_time_at_max_s = app.measured_time_at_max_s,
+                     .frequencies = grid});
+  }
+  core::BatchSweepWorkspace ws;
+  f.predictor.predict_sweep_batch(items, f.spec, ws);
+  ASSERT_EQ(ws.power_w.size(), 128 * grid.size());
+
+  const std::size_t dim = f.models->features.dim();
+  const std::size_t block = core::kSweepBlockRows;
+  EXPECT_LE(ws.features.rows(), block);
+  EXPECT_LE(ws.features.capacity(), block * dim);
+  for (const core::DnnModel::Workspace* mws : {&ws.power_model, &ws.time_model}) {
+    EXPECT_LE(mws->scaled.rows(), block);
+    EXPECT_LE(mws->scaled.capacity(), block * dim);
+    EXPECT_LE(mws->net.capacity(), 2 * block * 64);  // two ping-pong buffers, 64 wide
+  }
+}
 
 TEST(ServeBatch, WorkspaceIsReusableAcrossBatchShapes) {
   Fixture f;
