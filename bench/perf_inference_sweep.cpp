@@ -1,7 +1,8 @@
 // End-to-end microbench of the online inference path: one full
 // 61-configuration DVFS sweep (power + time models) per iteration, per
-// kernel backend, plus network-level forward passes and the sweep's
-// non-network share that isolate where the time goes.
+// kernel backend, plus network-level forward passes, each fused dense
+// layer at its sweep shape, and the sweep's non-network share that
+// isolate where the time goes.
 // tools/run_benchmarks.sh merges this into BENCH_perf.json.
 //
 // Benchmark arguments follow the shared axis in backend_axis.hpp: arg0 is
@@ -16,6 +17,7 @@
 #include "backend_axis.hpp"
 #include "common.hpp"
 #include "gpufreq/core/pipeline.hpp"
+#include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/nn/network.hpp"
 #include "gpufreq/util/rng.hpp"
 
@@ -117,6 +119,45 @@ void BM_SweepNonNetwork(benchmark::State& state) {
   bench::reset_backend();
 }
 BENCHMARK(BM_SweepNonNetwork)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+// One fused dense layer of the sweep, at its exact shape: arg1 is the
+// row block (48 = kSweepBlockRows, 13 = the tail of a 61-row sweep), arg2
+// the layer (0 = 3 -> 64 SELU, 1 = 64 -> 64 SELU, 2 = 64 -> 1 linear).
+// Each net of a sweep runs layer 0 once, layer 1 twice and layer 2 once
+// per block. The flops counter is the layer's multiply-add rate, the
+// number to set beside the core's FMA ceiling (DESIGN.md §7).
+void BM_DenseBiasAct(benchmark::State& state) {
+  if (!bench::select_backend(state)) return;
+  struct Layer {
+    std::size_t k, n;
+    nn::Activation act;
+  };
+  const Layer layers[] = {{3, 64, nn::Activation::kSelu},
+                          {64, 64, nn::Activation::kSelu},
+                          {64, 1, nn::Activation::kLinear}};
+  const Layer& layer = layers[static_cast<std::size_t>(state.range(2))];
+  const auto rows = static_cast<std::size_t>(state.range(1));
+  const nn::Matrix x = random_batch(rows, layer.k);
+  const nn::Matrix w = random_batch(layer.k, layer.n);
+  const nn::Matrix bias = random_batch(1, layer.n);
+  nn::kernels::PackedWeights packed;
+  packed.pack(w);
+  nn::Matrix y(rows, layer.n);
+  const nn::kernels::KernelTable& kt = nn::kernels::active();
+  for (auto _ : state) {
+    kt.dense_bias_act(x.flat().data(), packed, bias.flat().data(), layer.act, y.flat().data(),
+                      0, rows);
+    benchmark::DoNotOptimize(y.flat().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] = benchmark::Counter(
+      2.0 * static_cast<double>(rows * layer.k * layer.n),
+      benchmark::Counter::kIsIterationInvariantRate);
+  bench::reset_backend();
+}
+BENCHMARK(BM_DenseBiasAct)
+    ->ArgsProduct({{0, 1, 2}, {48, 13}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

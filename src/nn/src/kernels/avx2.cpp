@@ -19,6 +19,7 @@
 #include <cmath>
 
 #include "gpufreq/util/hot_path.hpp"
+#include "row_tiles.hpp"
 #include "scalar_math.hpp"
 
 namespace gpufreq::nn::kernels {
@@ -154,31 +155,36 @@ void activate_derivative_f(Activation act, const float* z, float* out, std::size
   if (i < n) detail::scalar_table().activate_derivative(act, z + i, out + i, n - i);
 }
 
-// 6x16 register tile: 12 accumulators + 2 B lanes in the 16 ymm budget.
-inline void tile_accumulate(const float* a, std::size_t lda, const float* b,
-                            std::size_t ldb, std::size_t k, __m256 acc[kMr][2]) {
-  for (std::size_t r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
+// R x 8NV register tile of X * B, X(r, q) = x[r * rs + q * qs] (rs = k,
+// qs = 1 walks a row-major A; rs = 1, qs = k walks A^T), against NV
+// 8-float lanes of B (row stride ldb); emit(r, v, sum) receives each
+// finished sum. Up to 12 accumulators + 2 B lanes fit the 16 ymm budget.
+// Every element is one fma chain from 0 with q ascending, whatever R, NV
+// or the band split, so the tiling never moves a result bit
+// (test_nn_kernels checks it against per-element references). The emit
+// loop is unrolled, and the tile is its own function: an acc[r][v]
+// indexed at run time, or a tile inlined next to its siblings and the
+// runtime-act epilogue, leaves accumulators on the stack, stored on every
+// q step.
+template <std::size_t R, std::size_t NV, class Emit>
+[[gnu::noinline]] void tile(const float* x, std::size_t rs, std::size_t qs, std::size_t k,
+                            const float* b, std::size_t ldb, const Emit& emit) {
+  __m256 acc[R][NV];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
   }
-  for (std::size_t p = 0; p < k; ++p) {
-    const __m256 bl = _mm256_loadu_ps(b + p * ldb);
-    const __m256 bh = _mm256_loadu_ps(b + p * ldb + 8);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
-      acc[r][0] = _mm256_fmadd_ps(av, bl, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, bh, acc[r][1]);
+  for (std::size_t q = 0; q < k; ++q) {
+    __m256 bq[NV];
+    for (std::size_t v = 0; v < NV; ++v) bq[v] = _mm256_loadu_ps(b + q * ldb + 8 * v);
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256 xv = _mm256_broadcast_ss(x + r * rs + q * qs);
+      for (std::size_t v = 0; v < NV; ++v) acc[r][v] = _mm256_fmadd_ps(xv, bq[v], acc[r][v]);
     }
   }
-}
-
-inline void kernel_mrxnr(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                         float* c, std::size_t ldc, std::size_t k) {
-  __m256 acc[kMr][2];
-  tile_accumulate(a, lda, b, ldb, k, acc);
-  for (std::size_t r = 0; r < kMr; ++r) {
-    _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-    _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < NV; ++v) emit(r, v, acc[r][v]);
   }
 }
 
@@ -205,7 +211,9 @@ void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
   for (std::size_t j0 = 0; j0 + kNr <= m; j0 += kNr) {
     std::size_t i0 = lo;
     for (; i0 + kMr <= hi; i0 += kMr) {
-      kernel_mrxnr(A + i0 * k, k, B + j0, m, C + i0 * m + j0, m, k);
+      tile<kMr, 2>(A + i0 * k, k, 1, k, B + j0, m, [&](std::size_t r, std::size_t v, __m256 sum) {
+        _mm256_storeu_ps(C + (i0 + r) * m + j0 + 8 * v, sum);
+      });
     }
     tail_rows(A, k, B, m, C, m, k, i0, hi, j0, j0 + kNr);
   }
@@ -213,46 +221,17 @@ void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
   if (j_tail < m) tail_rows(A, k, B, m, C, m, k, lo, hi, j_tail, m);
 }
 
-// R x 8*NV register tile of C = A^T * B at (i0, j0): C row i is A column
-// i, so each p step broadcasts A(p, i0 + r) against NV lanes of B row p.
-// Every element is one fma chain from 0 with p ascending, whatever the
-// tile or band split, so the tiling never moves a result bit
-// (test_nn_kernels checks it against a memory-accumulating reference).
-template <std::size_t R, std::size_t NV>
-inline void tn_accumulate(const float* A, const float* B, std::size_t n, std::size_t k,
-                          std::size_t m, std::size_t i0, std::size_t j0, __m256 acc[][2]) {
-  for (std::size_t r = 0; r < R; ++r) {
-    for (std::size_t v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    __m256 b[NV];
-    for (std::size_t v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(B + p * m + j0 + 8 * v);
-    const float* ap = A + p * k + i0;
-    for (std::size_t r = 0; r < R; ++r) {
-      const __m256 av = _mm256_broadcast_ss(ap + r);
-      for (std::size_t v = 0; v < NV; ++v) acc[r][v] = _mm256_fmadd_ps(av, b[v], acc[r][v]);
-    }
-  }
-}
-
+// C = A^T * B over one column block of NV lanes: C row i is A column i.
 template <std::size_t NV>
 inline void tn_column_block(const float* A, const float* B, float* C, std::size_t n,
                             std::size_t k, std::size_t m, std::size_t lo, std::size_t hi,
                             std::size_t j0) {
-  std::size_t i = lo;
-  __m256 acc[kMr][2];
-  for (; i + kMr <= hi; i += kMr) {
-    tn_accumulate<kMr, NV>(A, B, n, k, m, i, j0, acc);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      for (std::size_t v = 0; v < NV; ++v) {
-        _mm256_storeu_ps(C + (i + r) * m + j0 + 8 * v, acc[r][v]);
-      }
-    }
-  }
-  for (; i < hi; ++i) {
-    tn_accumulate<1, NV>(A, B, n, k, m, i, j0, acc);
-    for (std::size_t v = 0; v < NV; ++v) _mm256_storeu_ps(C + i * m + j0 + 8 * v, acc[0][v]);
-  }
+  for_row_tiles<kMr>(lo, hi, [&](std::size_t i, auto rows) {
+    tile<decltype(rows)::value, NV>(A + i, 1, k, n, B + j0, m,
+                                    [&](std::size_t r, std::size_t v, __m256 sum) {
+                                      _mm256_storeu_ps(C + (i + r) * m + j0 + 8 * v, sum);
+                                    });
+  });
 }
 
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
@@ -302,52 +281,55 @@ void column_sums_f(const float* m, float* out, std::size_t rows, std::size_t col
   }
 }
 
-// Fused epilogue for one tile row held in two lanes: y = act(acc + bias).
-// Full-width panels store straight from registers; tail panels bounce
-// through a stack buffer so no load or store ever leaves [0, jn).
-inline void bias_act_store(Activation act, __m256 accl, __m256 acch, const float* bias,
-                           float* y, std::size_t jn) {
+// Fused epilogue for lane v (columns [8v, 8v + 8)) of one tile row:
+// y = act(acc + bias). Full-width panels store straight from registers;
+// tail panels bounce through a stack buffer so no load or store ever
+// leaves [0, jn).
+inline void bias_act_store(Activation act, __m256 acc, const float* bias, float* y,
+                           std::size_t jn, std::size_t v) {
   if (jn == kNr && vectorizable(act)) {
-    _mm256_storeu_ps(y, act8(act, _mm256_add_ps(accl, _mm256_loadu_ps(bias))));
-    _mm256_storeu_ps(y + 8, act8(act, _mm256_add_ps(acch, _mm256_loadu_ps(bias + 8))));
+    _mm256_storeu_ps(y + 8 * v, act8(act, _mm256_add_ps(acc, _mm256_loadu_ps(bias + 8 * v))));
     return;
   }
-  alignas(32) float tmp[kNr];
-  _mm256_store_ps(tmp, accl);
-  _mm256_store_ps(tmp + 8, acch);
-  for (std::size_t j = 0; j < jn; ++j) tmp[j] += bias[j];
-  detail::scalar_table().activate(act, tmp, y, jn);
+  if (jn <= 8 * v) return;
+  const std::size_t live = std::min<std::size_t>(8, jn - 8 * v);
+  alignas(32) float tmp[8];
+  _mm256_store_ps(tmp, acc);
+  for (std::size_t j = 0; j < live; ++j) tmp[j] += bias[8 * v + j];
+  detail::scalar_table().activate(act, tmp, y + 8 * v, live);
 }
 
-void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
-                      Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
+template <class ActOf>
+void dense_rows(const float* x, const PackedWeights& w, const float* bias, ActOf act_of,
+                float* y, std::size_t lo, std::size_t hi) {
   const std::size_t k = w.rows();
   const std::size_t n = w.cols();
   for (std::size_t p = 0; p < w.panel_count(); ++p) {
     const std::size_t j0 = p * kPanelWidth;
     const std::size_t jn = std::min(kPanelWidth, n - j0);
     const float* B = w.panel(p);
-    std::size_t i = lo;
-    __m256 acc[kMr][2];
-    for (; i + kMr <= hi; i += kMr) {
-      tile_accumulate(x + i * k, k, B, kPanelWidth, k, acc);
-      for (std::size_t r = 0; r < kMr; ++r) {
-        bias_act_store(act, acc[r][0], acc[r][1], bias + j0, y + (i + r) * n + j0, jn);
-      }
-    }
-    // Row tail: one row per iteration, same p-ascending order.
-    for (; i < hi; ++i) {
-      __m256 al = _mm256_setzero_ps();
-      __m256 ah = _mm256_setzero_ps();
-      const float* xi = x + i * k;
-      for (std::size_t q = 0; q < k; ++q) {
-        const __m256 xv = _mm256_broadcast_ss(xi + q);
-        al = _mm256_fmadd_ps(xv, _mm256_loadu_ps(B + q * kPanelWidth), al);
-        ah = _mm256_fmadd_ps(xv, _mm256_loadu_ps(B + q * kPanelWidth + 8), ah);
-      }
-      bias_act_store(act, al, ah, bias + j0, y + i * n + j0, jn);
-    }
+    for_row_tiles<kMr>(lo, hi, [&](std::size_t i, auto rows) {
+      tile<decltype(rows)::value, 2>(x + i * k, k, 1, k, B, kPanelWidth,
+                                     [&](std::size_t r, std::size_t v, __m256 sum) {
+                                       bias_act_store(act_of(), sum, bias + j0,
+                                                      y + (i + r) * n + j0, jn, v);
+                                     });
+    });
+  }
+}
+
+void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
+                      Activation act, float* y, std::size_t lo, std::size_t hi) {
+  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
+  // The activation is resolved once per call: the inference nets' two
+  // get their own instantiation with act8's switch folded away.
+  switch (act) {
+    case Activation::kLinear:
+      return dense_rows(x, w, bias, [] { return Activation::kLinear; }, y, lo, hi);
+    case Activation::kSelu:
+      return dense_rows(x, w, bias, [] { return Activation::kSelu; }, y, lo, hi);
+    default:
+      return dense_rows(x, w, bias, [act] { return act; }, y, lo, hi);
   }
 }
 

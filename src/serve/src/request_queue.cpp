@@ -17,7 +17,7 @@ const SweepOutcome& SweepTicket::wait() const {
   GPUFREQ_REQUIRE(slot_ != nullptr, "SweepTicket: empty ticket");
   detail::SweepSlot& slot = *slot_;
   MutexLock lock(slot.mutex);
-  slot.cv.wait(lock.native(), [&slot] {
+  lock.wait(slot.cv, [&slot] {
     slot.mutex.assert_held();
     return slot.done;
   });

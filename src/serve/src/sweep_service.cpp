@@ -315,7 +315,7 @@ void SweepService::worker_loop() {
   for (;;) {
     {
       MutexLock lock(mutex_);
-      cv_.wait(lock.native(), [this] {
+      lock.wait(cv_, [this] {
         mutex_.assert_held();
         return stopping_ || !queue_.empty();
       });

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -33,23 +34,29 @@ void write(Level lvl, const std::string& module, const std::string& message)
     GPUFREQ_EXCLUDES(detail::write_mutex());
 
 namespace detail {
+/// One log line. The stream exists only when the level is enabled, so a
+/// disabled line formats nothing: operator<< is a test and a return.
 class LineStream {
  public:
-  LineStream(Level lvl, std::string module) : lvl_(lvl), module_(std::move(module)) {}
-  ~LineStream() { write(lvl_, module_, ss_.str()); }
+  LineStream(Level lvl, std::string module) : lvl_(lvl), module_(std::move(module)) {
+    if (enabled(lvl_)) ss_.emplace();
+  }
+  ~LineStream() {
+    if (ss_) write(lvl_, module_, ss_->str());
+  }
   LineStream(const LineStream&) = delete;
   LineStream& operator=(const LineStream&) = delete;
 
   template <typename T>
   LineStream& operator<<(const T& value) {
-    ss_ << value;
+    if (ss_) *ss_ << value;
     return *this;
   }
 
  private:
   Level lvl_;
   std::string module_;
-  std::ostringstream ss_;
+  std::optional<std::ostringstream> ss_;
 };
 }  // namespace detail
 

@@ -15,8 +15,11 @@
 
 namespace gpufreq::detail {
 
+// An already-ascending range (the service's default grid, every sweep)
+// returns after one linear is_sorted pass instead of a full heapsort.
 template <typename RandomIt>
 inline void bounded_sort(RandomIt first, RandomIt last) {
+  if (std::is_sorted(first, last)) return;
   std::make_heap(first, last);
   std::sort_heap(first, last);
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <condition_variable>
 #include <mutex>
 
 // Portable clang thread-safety annotations (no-ops on GCC/MSVC, which
@@ -94,20 +95,34 @@ class GPUFREQ_CAPABILITY("mutex") Mutex {
 };
 
 /// RAII lock for gpufreq::Mutex (the annotated std::lock_guard /
-/// std::unique_lock replacement). `native()` exposes the underlying
-/// std::unique_lock so std::condition_variable::wait can drop and reacquire
-/// the lock; pair such waits with Mutex::assert_held() in the predicate.
+/// std::unique_lock replacement). It holds the Mutex itself, not a
+/// std::unique_lock, so releasing it is std::mutex::unlock, which cannot
+/// throw (unique_lock::unlock reaches std::__throw_system_error). `wait`
+/// adopts the held mutex into a std::unique_lock only for the span of one
+/// condition-variable wait; reference guarded state inside `pred` after
+/// Mutex::assert_held().
 class GPUFREQ_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& m) GPUFREQ_ACQUIRE(m) : lock_(m.native()) {}
-  ~MutexLock() GPUFREQ_RELEASE() {}
+  explicit MutexLock(Mutex& m) GPUFREQ_ACQUIRE(m) : m_(m) { m_.lock(); }
+  ~MutexLock() GPUFREQ_RELEASE() { m_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  std::unique_lock<std::mutex>& native() { return lock_; }
+  /// cv.wait(pred) on the held mutex; held again on return.
+  template <typename Predicate>
+  void wait(std::condition_variable& cv, Predicate pred) {
+    std::unique_lock<std::mutex> lock(m_.native(), std::adopt_lock);
+    // Hand the mutex back on every exit, a throwing pred included: this
+    // MutexLock, not `lock`, unlocks it.
+    struct Disown {
+      std::unique_lock<std::mutex>& lock;
+      ~Disown() { lock.release(); }
+    } disown{lock};
+    cv.wait(lock, pred);
+  }
 
  private:
-  std::unique_lock<std::mutex> lock_;
+  Mutex& m_;
 };
 
 }  // namespace gpufreq

@@ -84,7 +84,7 @@ class Pool {
     work_on(batch);  // the caller is a full participant
     MutexLock lock(mutex_);
     batch_ = nullptr;  // late wakers must not join a finished batch
-    cv_done_.wait(lock.native(), [&] {
+    lock.wait(cv_done_, [&] {
       mutex_.assert_held();
       return batch.done.load() == batch.count && batch.active == 0;
     });
@@ -129,7 +129,7 @@ class Pool {
       Batch* batch = nullptr;
       {
         MutexLock lock(mutex_);
-        cv_work_.wait(lock.native(), [&] {
+        lock.wait(cv_work_, [&] {
           mutex_.assert_held();
           return stop_ || (batch_ != nullptr && batch_id_ != seen);
         });

@@ -507,6 +507,74 @@ TEST(KernelParity, FusedRowsMatchRowsComputedAlonePerBackend) {
   }
 }
 
+// Per-element reference for dense_bias_act: every y(i, j) is one chain
+// from 0 over q ascending, then + bias(j), then the scalar activation.
+// `fused` picks fused multiply-adds; false gives the separately rounded
+// multiply and add of a scalar backend built without FMA.
+std::vector<float> dense_reference(const Matrix& x, const Matrix& w,
+                                   const std::vector<float>& bias, Activation act, bool fused) {
+  const std::size_t rows = x.rows(), k = w.rows(), n = w.cols();
+  std::vector<float> y(rows * n);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t q = 0; q < k; ++q) {
+        if (fused) {
+          acc = std::fma(x(i, q), w(q, j), acc);
+        } else {
+          volatile float prod = x(i, q) * w(q, j);  // no contraction
+          acc = acc + prod;
+        }
+      }
+      y[i * n + j] = activate(act, acc + bias[j]);
+    }
+  }
+  return y;
+}
+
+// Every tail shape of the fused kernel's register tiles against the
+// per-element reference: rows 1..17 give every row tail of the 6-row
+// (scalar, avx2) and 8-row (avx512) tiles, after zero, one and two full
+// tiles; n covers one column, panel tails, full panels and an odd final
+// panel; k = 100 crosses the scalar row tail's 64-wide inner blocks.
+// Linear is bitwise everywhere. SELU is bitwise where the scalar
+// activation shares the backend's FMA contraction (an FMA build, or the
+// scalar backend itself), within the activation tolerance otherwise.
+TEST(KernelExactness, DenseBiasActMatchesPerElementReferenceOnEveryTail) {
+#if defined(__FMA__)
+  const bool fma_build = true;
+#else
+  const bool fma_build = false;
+#endif
+  for (const KernelTable* kt : all_available_tables()) {
+    SCOPED_TRACE(kt->name);
+    const bool scalar = kt == &detail::scalar_table();
+    for (std::size_t k : {1, 3, 64, 100}) {
+      for (std::size_t n : {1, 15, 16, 17, 31, 32, 33, 64}) {
+        const Matrix w = random_matrix(k, n, 31 + k * n);
+        const std::vector<float> bias = random_vec(n, 37 + n);
+        PackedWeights packed;
+        packed.pack(w);
+        for (std::size_t rows = 1; rows <= 17; ++rows) {
+          SCOPED_TRACE(::testing::Message() << "k=" << k << " n=" << n << " rows=" << rows);
+          const Matrix x = random_matrix(rows, k, 41 + rows * k);
+          for (Activation act : {Activation::kSelu, Activation::kLinear}) {
+            std::vector<float> got(rows * n);
+            kt->dense_bias_act(x.flat().data(), packed, bias.data(), act, got.data(), 0, rows);
+            const std::vector<float> want =
+                dense_reference(x, w, bias, act, !scalar || fma_build);
+            if (act == Activation::kLinear || scalar || fma_build) {
+              expect_bitwise(got, want);
+            } else {
+              expect_close(got, want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelNan, FusedEpiloguePropagatesNan) {
   const std::vector<const KernelTable*> tables = all_available_tables();
   for (const KernelTable* kt : tables) {
