@@ -4,23 +4,26 @@
 
 namespace gpufreq::nn::kernels {
 
-/// Which kernel implementation set the nn library computes with. The
-/// scalar backend is the portable reference (compiler-vectorized, no
-/// intrinsics); the AVX2 and AVX-512 backends are hand-vectorized in TUs
-/// compiled with `-mavx2 -mfma` / `-mavx512f -mavx512bw` only, so the
-/// rest of the binary stays portable and the choice is made at runtime
-/// via CPUID.
+/// Which kernel implementation set the nn library computes with. All
+/// three backends are one kernel body (src/nn/src/kernels/kernel_body.hpp)
+/// compiled once per ISA: the scalar backend over GCC/Clang vector
+/// extensions with the build's own flags, the AVX2 and AVX-512 backends
+/// over intrinsics in TUs compiled with `-mavx2 -mfma` /
+/// `-mavx512f -mavx512bw` only, so the rest of the binary stays portable
+/// and the choice is made at runtime via CPUID.
 ///
-/// Determinism contract: within one backend, every kernel's per-element
-/// accumulation order is fixed (ascending inner dimension) and the
-/// parallel partition is thread-count independent, so results are bitwise
-/// identical for any set_num_threads value. The fused dense_bias_act
-/// equals the same backend's unfused gemm_row_band -> add_row_vector ->
-/// activate chain bitwise on every backend, and each of its rows equals
-/// that row computed alone. Across backends results are held only to
-/// floating-point tolerance: a portable build's scalar TU has no FMA and
-/// rounds each multiply-add twice. The backend therefore stays an
-/// explicit, loggable choice rather than an invisible compiler detail.
+/// Determinism contract: every kernel's per-element accumulation order is
+/// fixed (ascending inner dimension) and the parallel partition is
+/// thread-count independent, so results are bitwise identical for any
+/// set_num_threads value. The fused dense_bias_act equals the unfused
+/// gemm_row_band -> add_row_vector -> activate chain bitwise, and each of
+/// its rows equals that row computed alone. Across backends results are
+/// bitwise identical when the scalar TU has FMA (e.g. `-march=native` on
+/// an FMA machine), where its `a * b + c` contracts to the fused operation
+/// the SIMD backends execute. A portable build's scalar TU has no FMA and
+/// rounds each multiply-add twice, so there the scalar backend is held
+/// only to floating-point tolerance; avx2 and avx512 still agree bitwise.
+/// The backend therefore stays an explicit, loggable choice.
 enum class Backend {
   kAuto,    ///< pick the best supported backend (env override respected)
   kScalar,  ///< portable reference kernels
@@ -53,7 +56,8 @@ bool avx2_available();
 bool avx512_available();
 
 /// The backend actually computing (never kAuto). First use runs selection:
-/// GPUFREQ_KERNEL_BACKEND if set, else the best supported backend.
+/// GPUFREQ_KERNEL_BACKEND if set and non-empty, else the best supported
+/// backend.
 Backend active_backend();
 
 /// Force a backend; kAuto re-runs the default selection. Throws

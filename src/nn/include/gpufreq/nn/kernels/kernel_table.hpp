@@ -35,9 +35,9 @@ struct KernelTable {
   void (*activate)(Activation act, const float* z, float* out, std::size_t n);
 
   /// out[i] = act'(z[i]), the derivative at the pre-activation z[i] (the
-  /// backward pass); in-place is allowed. The SIMD backends evaluate the
-  /// scalar overload's expressions with explicit FMAs, so they match it
-  /// bitwise when the scalar code is built with FMA contraction.
+  /// backward pass); in-place is allowed. Every backend evaluates the
+  /// scalar overload's expressions a vector at a time, so it matches that
+  /// overload bitwise wherever both round their multiply-adds alike.
   void (*activate_derivative)(Activation act, const float* z, float* out, std::size_t n);
 
   /// Fused inference layer, rows [lo, hi):
@@ -47,9 +47,7 @@ struct KernelTable {
   /// separate Z matrix ever exists. Every backend computes each element
   /// exactly as its own unfused gemm_row_band -> add_row_vector ->
   /// activate chain (sum from 0, then bias, then activation), and each
-  /// row independently of the band around it. Whether the activation is
-  /// fused per register tile (avx2, avx512) or runs as one pass over the
-  /// finished band (scalar) is a backend choice. X: batch x w.rows(),
+  /// row independently of the band around it. X: batch x w.rows(),
   /// Y: batch x w.cols(), bias: w.cols().
   void (*dense_bias_act)(const float* x, const PackedWeights& w, const float* bias,
                          Activation act, float* y, std::size_t lo, std::size_t hi);

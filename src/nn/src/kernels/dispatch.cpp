@@ -95,8 +95,9 @@ const KernelTable* table_for(Backend b) {
                                         "build lacks the required ISA)");
     return e->table();
   }
-  // Auto: honor GPUFREQ_KERNEL_BACKEND, else pick the best supported.
-  if (const char* env = std::getenv("GPUFREQ_KERNEL_BACKEND")) {
+  // Auto: honor GPUFREQ_KERNEL_BACKEND, else pick the best supported. An
+  // empty value is how many shells and CI matrices spell "unset".
+  if (const char* env = std::getenv("GPUFREQ_KERNEL_BACKEND"); env != nullptr && *env != '\0') {
     const Backend forced = backend_from_string(env);
     if (forced != Backend::kAuto) return table_for(forced);
   }

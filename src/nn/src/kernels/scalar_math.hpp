@@ -1,11 +1,11 @@
 #pragma once
 
-// Internal shared elementwise math for the nn kernels. The scalar
-// activate()/activate_derivative() overloads (src/nn/src/activations.cpp)
-// and the scalar kernel backend (scalar.cpp) must call the *same* inlined
-// code so both produce bit-identical results; this header is that single
-// definition. Not a public header — lives under src/nn/src/kernels/ on
-// purpose.
+// Internal elementwise math of the scalar activate()/activate_derivative()
+// overloads (src/nn/src/activations.cpp). kernel_body.hpp ports these exact
+// expressions to vectors (exp_v, act_v, deriv_v), so the two must change
+// together. Only baseline-ISA TUs may call the inline functions: a copy
+// emitted out of line in a SIMD TU could be the one the linker keeps. Not
+// a public header — lives under src/nn/src/kernels/ on purpose.
 
 #include <algorithm>
 #include <cmath>

@@ -32,6 +32,10 @@
 //     ...
 //   }
 //
+// In a function template the annotation goes at namespace scope next to
+// the template instead: GCC never emits a used static local of a template
+// instantiation, so inside the body the root would silently vanish.
+//
 // Matching is by substring against the demangled symbol name, so one
 // annotation also covers the function's compiler-generated clones
 // ([clone .cold], .constprop, .isra) and any lambdas defined inside it

@@ -198,8 +198,8 @@ TEST(InferenceSweep, SteadyStateSweepIsAllocationFree) {
 // vs avx512 is asserted on every build. The scalar backend joins the
 // comparison only when this TU has __FMA__: it shares the build's arch
 // flags with the scalar kernel TU, and a portable build's scalar kernels
-// round each multiply-add twice (explicit fma there is open work,
-// DESIGN.md §7).
+// round each multiply-add twice (a per-lane std::fma there would cost
+// about 10x, DESIGN.md §7).
 TEST(InferenceSweep, PaperModelsSweepIsBitwiseAcrossBackends) {
   using nn::kernels::Backend;
   std::vector<Backend> backends;

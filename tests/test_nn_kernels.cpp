@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,6 +60,31 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b,
         abs + rel * static_cast<double>(std::max(std::fabs(a[i]), std::fabs(b[i])));
     EXPECT_NEAR(a[i], b[i], tol) << "at index " << i;
   }
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void expect_bitwise(const std::vector<float>& a, const std::vector<float>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(float_bits(a[i]), float_bits(b[i]))
+        << "at index " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+// Cross-backend agreement: bitwise on an FMA build, where the scalar TU
+// contracts every multiply-add like the SIMD backends; a portable build's
+// scalar TU rounds each one twice, so there it is a tolerance.
+void expect_parity(const std::vector<float>& a, const std::vector<float>& b) {
+#if defined(__FMA__)
+  expect_bitwise(a, b);
+#else
+  expect_close(a, b);
+#endif
 }
 
 // Unfused reference through one table: z = x*w, z += bias, act(z).
@@ -172,7 +198,7 @@ TEST(KernelDispatch, AutoSelectionNeverReturnsAuto) {
   // Auto respects the env override (the CI scalar lane sets it); without
   // one it picks the best supported backend.
   if (const char* env = std::getenv("GPUFREQ_KERNEL_BACKEND");
-      env != nullptr && backend_from_string(env) != Backend::kAuto) {
+      env != nullptr && *env != '\0' && backend_from_string(env) != Backend::kAuto) {
     EXPECT_EQ(b, backend_from_string(env));
   } else {
     const Backend best = avx512_available() ? Backend::kAvx512
@@ -180,6 +206,26 @@ TEST(KernelDispatch, AutoSelectionNeverReturnsAuto) {
                                             : Backend::kScalar;
     EXPECT_EQ(b, best);
   }
+}
+
+// An empty GPUFREQ_KERNEL_BACKEND (how many shells and CI matrices spell
+// "unset") selects like an unset one, though "" is still no backend name.
+TEST(KernelDispatch, EmptyEnvironmentValueMeansUnset) {
+  const char* prior = std::getenv("GPUFREQ_KERNEL_BACKEND");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("GPUFREQ_KERNEL_BACKEND", "", 1);
+  set_kernel_backend(Backend::kAuto);
+  const Backend b = active_backend();
+  if (prior != nullptr) {
+    ::setenv("GPUFREQ_KERNEL_BACKEND", saved.c_str(), 1);
+  } else {
+    ::unsetenv("GPUFREQ_KERNEL_BACKEND");
+  }
+  set_kernel_backend(Backend::kAuto);
+  const Backend best = avx512_available() ? Backend::kAvx512
+                       : avx2_available() ? Backend::kAvx2
+                                          : Backend::kScalar;
+  EXPECT_EQ(b, best);
 }
 
 TEST(KernelDispatch, Avx2RequestMatchesAvailability) {
@@ -242,8 +288,8 @@ TEST(KernelPacking, MultiPanelAndRepack) {
   EXPECT_TRUE(packed.empty());
 }
 
-// Scalar-vs-SIMD parity over every primitive and shape; shared by the
-// avx2 and avx512 suites.
+// Scalar-vs-SIMD parity over every primitive, shape and activation;
+// shared by the avx2 and avx512 suites.
 void check_simd_parity(const KernelTable& av) {
   const KernelTable& sc = detail::scalar_table();
   for (const Shape& s : kShapes) {
@@ -255,34 +301,34 @@ void check_simd_parity(const KernelTable& av) {
     std::vector<float> cs(s.rows * s.n), ca(s.rows * s.n);
     sc.gemm_row_band(x.flat().data(), w.flat().data(), cs.data(), s.k, s.n, 0, s.rows);
     av.gemm_row_band(x.flat().data(), w.flat().data(), ca.data(), s.k, s.n, 0, s.rows);
-    expect_close(cs, ca);
+    expect_parity(cs, ca);
 
     // A^T * B with A: rows x k -> C: k x n needs B with `rows` rows.
     const Matrix b2 = random_matrix(s.rows, s.n, 41);
     std::vector<float> ts(s.k * s.n), ta(s.k * s.n);
     sc.gemm_tn_band(x.flat().data(), b2.flat().data(), ts.data(), s.rows, s.k, s.n, 0, s.k);
     av.gemm_tn_band(x.flat().data(), b2.flat().data(), ta.data(), s.rows, s.k, s.n, 0, s.k);
-    expect_close(ts, ta);
+    expect_parity(ts, ta);
 
     std::vector<float> ms = cs, ma = cs;
     sc.add_row_vector(ms.data(), bias.data(), s.rows, s.n);
     av.add_row_vector(ma.data(), bias.data(), s.rows, s.n);
-    expect_close(ms, ma, 0.0, 0.0);  // additions only: exact
+    expect_bitwise(ms, ma);  // additions only: exact
 
     std::vector<float> sums_s(s.n), sums_a(s.n);
     sc.column_sums(cs.data(), sums_s.data(), s.rows, s.n);
     av.column_sums(cs.data(), sums_a.data(), s.rows, s.n);
-    expect_close(sums_s, sums_a);
+    expect_parity(sums_s, sums_a);
 
     for (Activation act : kAllActivations) {
       std::vector<float> as(ms.size()), aa(ms.size());
       sc.activate(act, ms.data(), as.data(), ms.size());
       av.activate(act, ms.data(), aa.data(), ms.size());
-      expect_close(as, aa);
+      expect_parity(as, aa);
       sc.activate_derivative(act, ms.data(), as.data(), ms.size());
       av.activate_derivative(act, ms.data(), aa.data(), ms.size());
-      expect_close(as, aa);
-      expect_close(fused(sc, x, w, bias, act), fused(av, x, w, bias, act));
+      expect_parity(as, aa);
+      expect_parity(fused(sc, x, w, bias, act), fused(av, x, w, bias, act));
     }
   }
 }
@@ -302,20 +348,6 @@ std::vector<const KernelTable*> all_available_tables() {
   if (avx2_available()) tables.push_back(detail::avx2_table());
   if (avx512_available()) tables.push_back(detail::avx512_table());
   return tables;
-}
-
-std::uint32_t float_bits(float v) {
-  std::uint32_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
-void expect_bitwise(const std::vector<float>& a, const std::vector<float>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(float_bits(a[i]), float_bits(b[i]))
-        << "at index " << i << ": " << a[i] << " vs " << b[i];
-  }
 }
 
 float bits_float(std::uint32_t b) {
@@ -477,8 +509,8 @@ TEST(KernelParity, FusedMatchesUnfusedPerBackend) {
 // Row locality of the fused kernel: every row of a band equals the same
 // row computed as a one-row band, bitwise, so a request's result never
 // depends on the batch it was stacked into. The row counts straddle the
-// register tiles (6 scalar/avx2 rows, 8 avx512 rows) with tails; k = 100
-// spans two of the scalar row tail's 64-wide inner-dimension blocks.
+// register tiles (6 or 12 rows with 12 accumulators, 8 or 16 with 16) with
+// tails.
 TEST(KernelParity, FusedRowsMatchRowsComputedAlonePerBackend) {
   for (const KernelTable* kt : all_available_tables()) {
     SCOPED_TRACE(kt->name);
@@ -533,10 +565,9 @@ std::vector<float> dense_reference(const Matrix& x, const Matrix& w,
 }
 
 // Every tail shape of the fused kernel's register tiles against the
-// per-element reference: rows 1..17 give every row tail of the 6-row
-// (scalar, avx2) and 8-row (avx512) tiles, after zero, one and two full
-// tiles; n covers one column, panel tails, full panels and an odd final
-// panel; k = 100 crosses the scalar row tail's 64-wide inner blocks.
+// per-element reference: rows 1..17 give every row tail of the 6-, 8-, 12-
+// and 16-row tiles after zero, one or two full tiles; n covers one column,
+// lane and panel tails, full panels and an odd final lane or panel.
 // Linear is bitwise everywhere. SELU is bitwise where the scalar
 // activation shares the backend's FMA contraction (an FMA build, or the
 // scalar backend itself), within the activation tolerance otherwise.
@@ -629,6 +660,24 @@ TEST(KernelDeterminism, SerialEqualsParallelBitwisePerBackend) {
   }
 }
 
+void expect_same_parameters(const Network& a, const Network& b) {
+  ASSERT_EQ(a.num_layers(), b.num_layers());
+  for (std::size_t l = 0; l < a.num_layers(); ++l) {
+    const auto wa = a.layer(l).weights().flat();
+    const auto wb = b.layer(l).weights().flat();
+    ASSERT_EQ(wa.size(), wb.size());
+    for (std::size_t i = 0; i < wa.size(); ++i) {
+      ASSERT_EQ(float_bits(wa[i]), float_bits(wb[i])) << "layer " << l << " weight " << i;
+    }
+    const std::vector<float>& ba = a.layer(l).bias();
+    const std::vector<float>& bb = b.layer(l).bias();
+    ASSERT_EQ(ba.size(), bb.size());
+    for (std::size_t i = 0; i < ba.size(); ++i) {
+      ASSERT_EQ(float_bits(ba[i]), float_bits(bb[i])) << "layer " << l << " bias " << i;
+    }
+  }
+}
+
 // Training is bitwise independent of the thread count on every backend:
 // the paper's 64-row minibatches (one GEMM chunk each, run inline) and
 // 1024-row batches whose hidden-layer forward and gradient products span
@@ -660,22 +709,43 @@ TEST(KernelDeterminism, TrainingIsThreadCountIndependentPerBackend) {
     ScopedBackend guard(b);
     for (std::size_t batch : {std::size_t{64}, std::size_t{1024}}) {
       SCOPED_TRACE(::testing::Message() << "batch " << batch);
-      const Network one = train(1, batch);
-      const Network four = train(4, batch);
-      ASSERT_EQ(one.num_layers(), four.num_layers());
-      for (std::size_t l = 0; l < one.num_layers(); ++l) {
-        const auto w1 = one.layer(l).weights().flat();
-        const auto w4 = four.layer(l).weights().flat();
-        ASSERT_EQ(w1.size(), w4.size());
-        for (std::size_t i = 0; i < w1.size(); ++i) {
-          ASSERT_EQ(float_bits(w1[i]), float_bits(w4[i])) << "layer " << l << " weight " << i;
-        }
-        const std::vector<float>& b1 = one.layer(l).bias();
-        const std::vector<float>& b4 = four.layer(l).bias();
-        for (std::size_t i = 0; i < b1.size(); ++i) {
-          ASSERT_EQ(float_bits(b1[i]), float_bits(b4[i])) << "layer " << l << " bias " << i;
-        }
-      }
+      expect_same_parameters(train(1, batch), train(4, batch));
+    }
+  }
+}
+
+// Training is bitwise across backends on an FMA build: the paper
+// architecture (3 -> 64x3 -> 1, SELU, RMSprop, batch 64) trained for a few
+// epochs gives byte-equal weights and biases on every available backend, at
+// 1 and at 4 threads. The scalar backend joins only when its TU has FMA.
+TEST(KernelDeterminism, TrainingIsBitwiseAcrossBackends) {
+  std::vector<Backend> backends;
+#if defined(__FMA__)
+  backends.push_back(Backend::kScalar);
+#endif
+  if (avx2_available()) backends.push_back(Backend::kAvx2);
+  if (avx512_available()) backends.push_back(Backend::kAvx512);
+  if (backends.size() < 2) GTEST_SKIP() << "fewer than two backends to compare";
+  const Matrix x = random_matrix(320, 3, 307);
+  Matrix y(320, 1);
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    y(i, 0) = std::cos(x(i, 0)) + 0.25f * x(i, 1) - 0.5f * x(i, 2) * x(i, 2);
+  }
+  const auto train = [&](Backend b, std::size_t threads) {
+    ScopedBackend guard(b);
+    set_num_threads(threads);
+    Network net(3, Network::paper_architecture(), /*seed=*/29);
+    TrainConfig cfg;
+    cfg.epochs = 4;
+    Trainer(cfg).fit(net, x, y);
+    set_num_threads(0);
+    return net;
+  };
+  const Network reference = train(backends.front(), 1);
+  for (Backend b : backends) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << to_string(b) << " at " << threads << " threads");
+      expect_same_parameters(reference, train(b, threads));
     }
   }
 }
